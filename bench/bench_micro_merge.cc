@@ -1,118 +1,112 @@
-// Wall-clock sweep of the final-merge topologies (DESIGN.md §12):
-// every pinned MergeMode plus kAuto, across three regimes chosen to
-// make a different topology win each —
+// Wall-clock A/B of merge-side radix staging: the Sampling algorithm
+// under radix_mode kOff against kAuto, in two cells —
 //
-//   high_n_low_g : many nodes, few groups, real sockets. The seed
-//                  scatter ships ~2N^2 mostly-empty pages, each paying a
-//                  syscall + framing; the reduction topologies collapse
-//                  that to ~N^2 + 3N, so the tree wins on message
-//                  economy. (Over the in-process mesh a message costs
-//                  nanoseconds, so this cell runs TCP.) At full group
-//                  overlap the tree and its degenerate central form ship
-//                  the same N-1 tables, so they tie on *total* work —
-//                  the tree's log-depth fold only pulls ahead of central
-//                  on wall clock when folds really run in parallel; on a
-//                  serial CI host the table shows them as a statistical
-//                  tie, which the winner check accepts.
-//   high_g_skew  : huge skewed group count. Central/tree fold the whole
-//                  set on single nodes, the shared table serializes on
-//                  hot slots; merge-side radix staging on the seed wire
-//                  wins on locality.
-//   inproc_low_contention : plenty of uniform groups on the in-process
-//                  mesh. The shared lock-free table skips serialize +
-//                  wire + deserialize entirely and wins.
+//   high_g_skew  : 80k zipf-skewed groups on 4 nodes under a 256 KiB LLC
+//                  budget. The sampled global estimate / N busts the
+//                  budget, so auto engages radix staging on every node's
+//                  merge table (and on the scan-side tables, whose local
+//                  estimates bust it too). Prediction: auto is faster.
+//   llc_resident : the same shape with 8k groups. Each node's share of
+//                  the merge table stays inside the budget, auto stays
+//                  hash-direct, and the prediction is no change.
 //
-// Every cell runs the Sampling algorithm so kAuto takes the real
-// cost-model decision. Reps are interleaved across modes (rep-major,
-// rotating start) so machine drift hits every mode alike, and each mode
-// reports its median wall time — the median shrugs off the long
-// scheduler tail that makes min/mean flap on shared hosts (modeled time
-// is topology-invariant by construction — the interesting number here
-// is the wall clock). Modes within kTieBand of the fastest count as
-// co-winners. Numbers go to BENCH_micro_merge.json.
+// Reps alternate which mode runs first, so machine drift and warm-up
+// hit both modes alike; rep i's two runs form pair i. Each mode reports
+// its median wall time and interquartile range; a cell's verdict counts
+// the pairs auto won and checks the engagement the cell predicts. The
+// modeled time is radix-invariant by construction, so the interesting
+// number here is the wall clock. Numbers go to BENCH_micro_merge.json.
 //
 // ADAPTAGG_BENCH_SCALE scales tuple counts (group counts and M scale
-// with them so the regimes keep their shape).
+// with them so the cells keep their shape).
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "model/merge_model.h"
 
 namespace adaptagg {
 namespace bench {
 namespace {
 
-constexpr int kReps = 9;
+/// Wall-clock pairs per cell.
+constexpr int kReps = 51;
 
-/// Modes whose median wall lands within this factor of the cell's
-/// fastest count as co-winners. 1.10 matches the observed cross-run
-/// noise floor of a serial shared host; some ties are also genuine
-/// (tree vs central do identical total work — the tree only pulls ahead
-/// on the fold critical path when folds actually run in parallel).
+/// A mode's median counts as "no change" within this factor of the
+/// other's; also the ceiling on a mode's IQR / median for its median
+/// to be read at all.
 constexpr double kTieBand = 1.10;
 
 struct Cell {
   const char* name;
-  int nodes;
-  int64_t tuples;
   int64_t groups;
-  int64_t max_hash_entries;
-  double zipf_theta;    // 0 = uniform
-  int64_t llc_bytes;    // radix LLC budget (-1 = model default)
-  bool tcp;             // loopback sockets instead of the inproc mesh
-  int reps;             // wall-clock reps (min wins); TCP needs more
-  MergeMode expected_winner;
+  /// Whether auto is predicted to engage merge-side staging.
+  bool expect_engage;
 };
 
-/// Distinct from every port range the tests claim (42xxx, 43xxx).
-constexpr int kTcpBasePort = 44'150;
+constexpr int kNodes = 4;
+constexpr double kZipfTheta = 0.9;
+constexpr int64_t kLlcBytes = 256 * 1024;
 
 struct ModeOutcome {
-  std::string label;
-  std::string resolved;  // topology the run actually used
-  double sim_time_s = 0;
-  std::vector<double> walls;  // one sample per rep; reported as median
-  double wall_time_s = -1;    // median, filled in after the rep loop
+  ModeOutcome(const char* l, RadixMode m) : label(l), mode(m) {}
 
-  void FinalizeWall() {
-    if (walls.empty()) return;
-    std::sort(walls.begin(), walls.end());
-    const size_t n = walls.size();
-    wall_time_s = (n % 2 == 1)
-                      ? walls[n / 2]
-                      : 0.5 * (walls[n / 2 - 1] + walls[n / 2]);
-  }
+  const char* label;
+  RadixMode mode;
+  double sim_time_s = 0;
+  std::vector<double> walls;  // one sample per rep, in rep order
+  /// Nodes whose merge-side table engaged radix staging.
+  int engaged = 0;
 };
 
-const char* ModeLabel(MergeMode mode) { return MergeModeToString(mode); }
+double Quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
 
-/// One engine run of `mode`; folds the wall time into `out` (min wins).
-bool RunModeOnce(const Cell& cell, Cluster& cluster,
-                 const AggregationSpec& spec, PartitionedRelation& rel,
-                 BenchJsonWriter& json, MergeMode mode, bool first_rep,
-                 ModeOutcome& out) {
+AlgorithmOptions OptionsFor(RadixMode mode) {
   AlgorithmOptions opts;
   opts.gather_results = false;
-  opts.merge_mode = mode;
-  opts.radix_llc_bytes = cell.llc_bytes;
+  opts.radix_mode = mode;
+  opts.radix_llc_bytes = kLlcBytes;
   opts.crossover_threshold = 1'000'000'000;  // keep the two-phase body
+  return opts;
+}
+
+/// One untimed traced run: counts the merge-side engage instants.
+int CountGlobalEngages(Cluster& cluster, const AggregationSpec& spec,
+                       PartitionedRelation& rel, RadixMode mode) {
+  AlgorithmOptions opts = OptionsFor(mode);
+  opts.obs.traces = true;
+  RunResult run = cluster.Run(*MakeAlgorithm(AlgorithmKind::kSampling),
+                              spec, rel, opts);
+  if (!run.status.ok()) return -1;
+  int count = 0;
+  for (const TraceEvent& e : run.trace_events) {
+    if (e.kind == TraceEvent::Kind::kInstant &&
+        e.name == "radix.engage.global") {
+      ++count;
+    }
+  }
+  return count;
+}
+
+bool RunModeOnce(const Cell& cell, Cluster& cluster,
+                 const AggregationSpec& spec, PartitionedRelation& rel,
+                 BenchJsonWriter& json, bool first_rep, ModeOutcome& out) {
   EngineRunOutcome run =
-      RunEngine(cluster, AlgorithmKind::kSampling, spec, rel, opts,
+      RunEngine(cluster, AlgorithmKind::kSampling, spec, rel,
+                OptionsFor(out.mode),
                 std::string(cell.name) + "_" + out.label);
   if (!run.ok) return false;
   out.sim_time_s = run.sim_time_s;
   out.walls.push_back(run.wall_time_s);
-  for (const auto& e : run.metrics.entries) {
-    if (e.name == "core.merge_topology") {
-      out.resolved = MergeTopologyToString(
-          static_cast<MergeTopology>(e.value));
-    }
-  }
   if (first_rep) json.MergeMetrics(run.metrics);
   return true;
 }
@@ -123,163 +117,112 @@ void Run() {
     return std::max<int64_t>(64, static_cast<int64_t>(
                                      static_cast<double>(v) * scale));
   };
+  const std::string host =
+      "nproc=" + std::to_string(std::thread::hardware_concurrency());
 
   const Cell kCells[] = {
-      {"high_n_low_g", 24, scaled(2'400), 64, 1'024, 0.0, -1,
-       /*tcp=*/true, /*reps=*/15, MergeMode::kTree},
-      // 256 KiB LLC budget: the zipf sample undercounts groups (~40k
-      // seen of 80k real), and the budget must be small enough that
-      // even the undercount busts it, or auto never engages the radix
-      // staging it is being graded on.
-      {"high_g_skew", 4, scaled(160'000), scaled(80'000), scaled(65'536),
-       0.9, 256 * 1024, /*tcp=*/false, /*reps=*/kReps, MergeMode::kRadix},
-      // G=4k keeps the concurrent table (2x est = 8192 slots) L2-ish
-      // resident — shared's regime is low contention AND a cache-sized
-      // table; 8 nodes scale up the serialize/wire/deserialize volume
-      // every other topology pays and shared skips.
-      {"inproc_low_contention", 8, scaled(80'000), scaled(4'000),
-       scaled(65'536), 0.0, -1, /*tcp=*/false, /*reps=*/kReps,
-       MergeMode::kShared},
+      {"high_g_skew", scaled(80'000), /*expect_engage=*/true},
+      {"llc_resident", scaled(8'000), /*expect_engage=*/false},
   };
-  const MergeMode kModes[] = {MergeMode::kCentral, MergeMode::kTree,
-                              MergeMode::kRadix, MergeMode::kShared,
-                              MergeMode::kAuto};
 
-  PrintHeader("micro: merge topology",
-              "final-merge topologies across their winning regimes "
-              "(median wall of >=" + std::to_string(kReps) + " reps)",
-              "scale=" + FmtSeconds(scale));
+  PrintHeader("micro: merge-side radix staging",
+              "radix_mode off vs auto, Sampling on zipf(0.9), " +
+                  std::to_string(kReps) + " alternating pairs per cell",
+              "scale=" + FmtSeconds(scale) + " " + host);
 
-  TablePrinter table({"cell", "central(s)", "tree(s)", "radix(s)",
-                      "shared(s)", "auto(s)", "winner", "expected"});
-  BenchJsonWriter json("micro_merge", "scale=" + FmtSeconds(scale));
+  TablePrinter table({"cell", "engaged", "off med(s)", "off iqr",
+                      "auto med(s)", "auto iqr", "auto wins", "verdict"});
+  BenchJsonWriter json("micro_merge",
+                       "scale=" + FmtSeconds(scale) + " " + host);
 
   for (const Cell& cell : kCells) {
     SystemParams params;
-    params.num_nodes = cell.nodes;
-    params.num_tuples = cell.tuples;
-    params.max_hash_entries = cell.max_hash_entries;
+    params.num_nodes = kNodes;
+    params.num_tuples = scaled(160'000);
+    params.max_hash_entries = scaled(65'536);
     params.network = NetworkKind::kHighBandwidth;
 
     WorkloadSpec wspec;
-    wspec.num_nodes = cell.nodes;
-    wspec.num_tuples = cell.tuples;
+    wspec.num_nodes = kNodes;
+    wspec.num_tuples = params.num_tuples;
     wspec.num_groups = cell.groups;
-    if (cell.zipf_theta > 0) {
-      wspec.distribution = GroupDistribution::kZipf;
-      wspec.zipf_theta = cell.zipf_theta;
-    }
+    wspec.distribution = GroupDistribution::kZipf;
+    wspec.zipf_theta = kZipfTheta;
     auto rel = GenerateRelation(wspec);
     if (!rel.ok()) return;
     auto spec = MakeBenchQuery(&rel->schema());
     if (!spec.ok()) return;
 
     Cluster cluster(params);
-    if (cell.tcp) {
-      cluster.set_transport_factory(
-          [](int n) { return MakeTcpMesh(n, kTcpBasePort); });
-    }
-    constexpr int kNumModes =
-        static_cast<int>(sizeof(kModes) / sizeof(kModes[0]));
-    ModeOutcome outs[kNumModes];
+    ModeOutcome outs[2] = {{"off", RadixMode::kOff},
+                           {"auto", RadixMode::kAuto}};
     bool all_ok = true;
-    // Rep-major with a rotating start and alternating direction: every
-    // rep touches every mode back to back (slow drift cancels out of
-    // the comparison), the rotation walks each mode through every
-    // position in the cycle (warm-up favors late positions), and the
-    // direction flip breaks the fixed predecessor relation (a mode
-    // inherits its predecessor's allocator/page-cache state — with one
-    // fixed cyclic order that gift always lands on the same neighbor).
-    for (int rep = 0; rep < cell.reps && all_ok; ++rep) {
-      for (int k = 0; k < kNumModes; ++k) {
-        const int step = (rep % 2 == 0) ? k : kNumModes - 1 - k;
-        const int mi = (rep + step) % kNumModes;
-        outs[mi].label = ModeLabel(kModes[mi]);
-        if (!RunModeOnce(cell, cluster, *spec, *rel, json, kModes[mi],
-                         rep == 0 && k == 0, outs[mi])) {
-          all_ok = false;
-          break;
-        }
+    for (ModeOutcome& out : outs) {
+      out.engaged = CountGlobalEngages(cluster, *spec, *rel, out.mode);
+      all_ok = all_ok && out.engaged >= 0;
+    }
+    for (int rep = 0; rep < kReps && all_ok; ++rep) {
+      for (int k = 0; k < 2 && all_ok; ++k) {
+        const int mi = (rep % 2 == 0) ? k : 1 - k;
+        all_ok = RunModeOnce(cell, cluster, *spec, *rel, json,
+                             rep == 0 && k == 0, outs[mi]);
       }
     }
-    if (std::getenv("ADAPTAGG_BENCH_DEBUG") != nullptr) {
-      for (int mi = 0; mi < kNumModes; ++mi) {
-        std::printf("DBG %s %s:", cell.name, ModeLabel(kModes[mi]));
-        for (double w : outs[mi].walls) std::printf(" %.4f", w);
-        std::printf("\n");
+    if (!all_ok) {
+      table.AddRow({cell.name, "ERR", "", "", "", "", "", "ERR"});
+      continue;
+    }
+
+    const ModeOutcome& off = outs[0];
+    const ModeOutcome& on = outs[1];
+    const double off_med = Quantile(off.walls, 0.5);
+    const double on_med = Quantile(on.walls, 0.5);
+    const double off_iqr =
+        Quantile(off.walls, 0.75) - Quantile(off.walls, 0.25);
+    const double on_iqr = Quantile(on.walls, 0.75) - Quantile(on.walls, 0.25);
+    int auto_wins = 0;
+    for (int i = 0; i < kReps; ++i) {
+      if (on.walls[static_cast<size_t>(i)] <
+          off.walls[static_cast<size_t>(i)]) {
+        ++auto_wins;
       }
     }
-    std::vector<std::string> row = {cell.name};
-    for (int mi = 0; mi < kNumModes; ++mi) outs[mi].FinalizeWall();
-    ModeOutcome best;
-    double auto_wall = 0;
-    for (int mi = 0; mi < kNumModes; ++mi) {
-      const ModeOutcome& out = outs[mi];
-      row.push_back(all_ok ? FmtSeconds(out.wall_time_s) : "ERR");
-      if (!all_ok) continue;
+    for (const ModeOutcome& out : outs) {
+      const double med = Quantile(out.walls, 0.5);
       json.AddPoint(std::string(cell.name) + "/" + out.label,
-                    out.sim_time_s, out.wall_time_s,
-                    out.wall_time_s > 0
-                        ? static_cast<double>(cell.tuples) / out.wall_time_s
-                        : 0);
-      if (kModes[mi] == MergeMode::kAuto) {
-        auto_wall = out.wall_time_s;
-      } else if (best.label.empty() ||
-                 out.wall_time_s < best.wall_time_s) {
-        best = out;
-      }
+                    out.sim_time_s, med,
+                    med > 0 ? static_cast<double>(params.num_tuples) / med
+                            : 0);
     }
-    // Co-winners: every pinned mode within kTieBand of the fastest.
-    std::string winner;
-    bool expected_wins = false;
-    if (all_ok) {
-      for (int mi = 0; mi < kNumModes; ++mi) {
-        if (kModes[mi] == MergeMode::kAuto) continue;
-        if (outs[mi].wall_time_s <= best.wall_time_s * kTieBand) {
-          if (!winner.empty()) winner += "=";
-          winner += outs[mi].label;
-          if (kModes[mi] == cell.expected_winner) expected_wins = true;
-        }
-      }
+
+    // Medians are only read when both IQRs sit inside the tie band.
+    const bool tight = off_iqr <= off_med * (kTieBand - 1) &&
+                       on_iqr <= on_med * (kTieBand - 1);
+    const bool engaged_as_predicted =
+        on.engaged == (cell.expect_engage ? kNodes : 0) && off.engaged == 0;
+    bool pass = false;
+    if (cell.expect_engage) {
+      pass = engaged_as_predicted && tight && off_med - on_med > off_iqr &&
+             auto_wins * 10 >= kReps * 9;
     } else {
-      winner = "ERR";
+      pass = engaged_as_predicted && tight && on_med <= off_med * kTieBand &&
+             off_med <= on_med * kTieBand;
     }
-    row.push_back(winner);
-    row.push_back(ModeLabel(cell.expected_winner));
-    table.AddRow(std::move(row));
-    // The shipped configuration is kAuto: the cell passes when the cost
-    // model resolves the expected topology and auto's wall lands within
-    // the tie band of the best pin — or when the expected pin co-wins
-    // outright.
-    if (all_ok && auto_wall > 0) {
-      std::string auto_resolved;
-      for (int mi = 0; mi < kNumModes; ++mi) {
-        if (kModes[mi] == MergeMode::kAuto) auto_resolved = outs[mi].resolved;
-      }
-      const bool auto_picked_expected =
-          auto_resolved == ModeLabel(cell.expected_winner);
-      const bool pass =
-          (auto_picked_expected &&
-           auto_wall <= best.wall_time_s * kTieBand) ||
-          expected_wins;
-      std::printf(
-          "[%s] auto resolved %s, auto/best = %.3f, expected %s: %s\n",
-          cell.name, auto_resolved.empty() ? "?" : auto_resolved.c_str(),
-          auto_wall / best.wall_time_s, ModeLabel(cell.expected_winner),
-          pass ? "PASS" : "FAIL");
-    }
+    table.AddRow({cell.name, std::to_string(on.engaged) + "/" +
+                                 std::to_string(kNodes),
+                  FmtSeconds(off_med), FmtSeconds(off_iqr),
+                  FmtSeconds(on_med), FmtSeconds(on_iqr),
+                  std::to_string(auto_wins) + "/" + std::to_string(kReps),
+                  pass ? "PASS" : "FAIL"});
   }
   table.Print();
   json.Write();
   std::printf(
-      "\nExpected shape: tree wins high_n_low_g on message economy\n"
-      "(~N^2+3N messages vs the seed scatter's ~2N^2; it ties with its\n"
-      "degenerate central form on serial hosts and beats it on the fold\n"
-      "critical path when cores are available), radix wins high_g_skew\n"
-      "(locality on the seed wire while central/tree centralize the fold\n"
-      "and the shared table serializes on hot slots), shared wins\n"
-      "inproc_low_contention (no serialize/wire/deserialize), and auto\n"
-      "lands within ~10%% of each cell's winner.\n");
+      "\nPredicted shape: in high_g_skew auto engages merge-side staging\n"
+      "on all %d nodes and beats off in >=90%% of the pairs by more than\n"
+      "off's IQR; in llc_resident auto stays hash-direct and the two\n"
+      "medians tie within %.2fx. Both IQRs must sit inside that band.\n",
+      kNodes, kTieBand);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "agg/hash_table.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 
@@ -26,24 +25,6 @@ constexpr int64_t kInitialSlots = int64_t{1} << 16;
 /// walks the partition's bucket region, so more records per drain means
 /// more upserts amortizing the same cache lines.
 constexpr int64_t kRadixStageSoftCapBytes = int64_t{4} << 20;
-
-/// ADAPTAGG_FORCE_CLASSIFY (non-empty, not "0") routes eligible batch
-/// upserts through the 8-lane SIMD classify probe instead of the
-/// prefetch-pipelined streaming loop. Off by default: on every regime
-/// measured on the dev host — L2-resident through DRAM-resident
-/// (640 MB footprint), all-insert through 8:1 hit-heavy — the streaming
-/// loop's two-stage prefetch pipeline hid probe latency better than the
-/// classifier's gathers, which serialize on the gather unit and pay a
-/// per-lane mask branch on random keys (15-30% slower end-to-end). The
-/// kernel stays dispatched and differential-tested; this switch keeps
-/// the in-table path exercisable.
-bool EnvForcesClassify() {
-  // Re-read every call (it runs once per batch, not per record) so
-  // tests can toggle the path with setenv.
-  const char* v = std::getenv("ADAPTAGG_FORCE_CLASSIFY");
-  if (v == nullptr) return false;
-  return v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
 
 inline bool KeysEqual(const uint8_t* a, const uint8_t* b, int width,
                       bool key8) {
@@ -139,11 +120,6 @@ AggHashTable::AggHashTable(const AggregationSpec* spec, int64_t max_entries)
   // (EnsureSlotCapacity doubles beyond this for very large bounds).
   capacity_slots_ = std::min<int64_t>(max_entries_, kInitialSlots);
   arena_.resize(static_cast<size_t>(capacity_slots_ * slot_width_));
-  // The SIMD probe classifier forms slot byte offsets with a 32x32->64
-  // multiply, so both factors must fit in 32 bits (they always do for
-  // realistic bounds; the guard keeps adversarial configs correct).
-  classify_ok_ = max_entries_ <= (int64_t{1} << 31) &&
-                 slot_width_ <= (int64_t{1} << 31);
 }
 
 int64_t AggHashTable::MemoryBytes() const {
@@ -243,7 +219,7 @@ AggHashTable::UpsertResult AggHashTable::UpsertPartial(const uint8_t* partial,
 template <bool Key8, bool StopAtFull, int HashStrideCT, typename UpdateFn>
 int AggHashTable::UpsertBatchImpl(const uint8_t* recs, int stride,
                                   const uint8_t* hash_base, int hash_stride,
-                                  bool use_classify, int from, int n,
+                                  int from, int n,
                                   std::vector<int>* overflow, bool fused,
                                   const UpdateFn& update) {
   // Make room for the worst case up front: pointers into the arena stay
@@ -264,132 +240,11 @@ int AggHashTable::UpsertBatchImpl(const uint8_t* recs, int stride,
     return h;
   };
 
-  // Inserts since the last classification — they invalidate the
-  // classifier's empty bits (never its hits).
-  int inserts_since_classify = 0;
-
-  // Per-record probe/insert, also the resolver for lanes the classifier
-  // leaves ambiguous. Returns false only on a StopAtFull stop (the
-  // record is left unprocessed).
-  const auto scalar_one = [&](int i) {
-    const uint8_t* rec = recs + static_cast<int64_t>(i) * stride;
-    const uint64_t hash = hash_at(i);
-    uint64_t pos = hash & bucket_mask_;
-    uint8_t* hit_state = nullptr;
-    uint64_t insert_pos = 0;
-    bool found = false;
-    while (true) {
-      int64_t slot = buckets_[pos];
-      if (slot < 0) {
-        insert_pos = pos;
-        break;
-      }
-      uint8_t* slot_ptr = arena + slot * slot_width_;
-      if (KeysEqual(slot_ptr, rec, key_width_, Key8)) {
-        hit_state = slot_ptr + key_width_;
-        found = true;
-        break;
-      }
-      pos = (pos + 1) & bucket_mask_;
-    }
-
-    if (found) {
-      update(hit_state, rec);
-      return true;
-    }
-    if (size_ >= max_entries_) {
-      if constexpr (StopAtFull) {
-        return false;
-      } else {
-        overflow->push_back(i);
-        return true;
-      }
-    }
-    int64_t slot = size_++;
-    uint8_t* slot_ptr = arena + slot * slot_width_;
-    std::memcpy(slot_ptr, rec, static_cast<size_t>(key_width_));
-    spec_->InitState(slot_ptr + key_width_);
-    buckets_[static_cast<size_t>(insert_pos)] = slot;
-    ++inserts_since_classify;
-    update(slot_ptr + key_width_, rec);
-    return true;
-  };
-
-  int i = from;
-  if (Key8 && use_classify && n - i >= 8) {
-    // Group-of-8 classify path (opt-in, see UseClassify): one
-    // register-wide home-bucket compare classifies each lane as hit /
-    // empty / ambiguous; lanes then resolve in record order, so
-    // semantics (duplicate-key RMW order, stop-at-full precision) match
-    // the streaming loop exactly — including bit-identical table state
-    // and emit order.
-    const simd::ProbeClassify8Fn classify = simd::ResolveProbeClassify8();
-    for (; i + 8 <= n; i += 8) {
-      // Two-group-deep pipeline mirroring the scalar one below: pull
-      // bucket lines for group g+2 and slot lines for group g+1 (whose
-      // bucket heads are, by then, usually resident). Pure prefetches.
-      for (int k = 0; k < 8 && i + 16 + k < n; ++k) {
-        PrefetchRead(&buckets_[hash_at(i + 16 + k) & bucket_mask_]);
-      }
-      for (int k = 0; k < 8 && i + 8 + k < n; ++k) {
-        const int64_t ahead = buckets_[hash_at(i + 8 + k) & bucket_mask_];
-        if (ahead >= 0) PrefetchRead(arena + ahead * slot_width_);
-      }
-
-      uint64_t hashes8[8];
-      for (int k = 0; k < 8; ++k) hashes8[k] = hash_at(i + k);
-      simd::Classify8 cls;
-      classify(buckets_.data(), bucket_mask_, arena, slot_width_,
-               recs + static_cast<int64_t>(i) * stride, stride, hashes8,
-               &cls);
-      inserts_since_classify = 0;
-      for (int k = 0; k < 8; ++k) {
-        const uint8_t* rec = recs + static_cast<int64_t>(i + k) * stride;
-        if ((cls.hit_mask >> k) & 1u) {
-          // Home-bucket hit. Still valid after this group's inserts:
-          // linear probing never relocates an entry, keys are
-          // immutable, and the arena was pre-sized above.
-          update(arena + cls.slots[k] * slot_width_ + key_width_, rec);
-          continue;
-        }
-        if (((cls.empty_mask >> k) & 1u) != 0 &&
-            inserts_since_classify == 0) {
-          // Home bucket verified empty and untouched since: the key is
-          // definitely absent, insert directly at the home position.
-          if (size_ >= max_entries_) {
-            if constexpr (StopAtFull) {
-              NoteBatch(i + k - from, size_before, 0, fused);
-              return i + k - from;
-            } else {
-              overflow->push_back(i + k);
-              continue;
-            }
-          }
-          const int64_t slot = size_++;
-          uint8_t* slot_ptr = arena + slot * slot_width_;
-          std::memcpy(slot_ptr, rec, static_cast<size_t>(key_width_));
-          spec_->InitState(slot_ptr + key_width_);
-          buckets_[static_cast<size_t>(hashes8[k] & bucket_mask_)] = slot;
-          ++inserts_since_classify;
-          update(slot_ptr + key_width_, rec);
-          continue;
-        }
-        // Collision chain, or a duplicate key inserted earlier in this
-        // group may now occupy the home bucket: full scalar probe.
-        if (!scalar_one(i + k)) {
-          NoteBatch(i + k - from, size_before, 0, fused);
-          return i + k - from;
-        }
-      }
-    }
-  }
-
-  // Streaming loop: the probe body stays inline (not routed through
-  // scalar_one) so the compiler and the out-of-order core can overlap
-  // each iteration's prefetches with the previous probe's dependent
-  // loads — on tables that outgrow cache this overlap is worth ~25% of
-  // the whole pass.
-  for (; i < n; ++i) {
+  // Streaming loop: the probe body stays inline so the compiler and the
+  // out-of-order core can overlap each iteration's prefetches with the
+  // previous probe's dependent loads — on tables that outgrow cache this
+  // overlap is worth ~25% of the whole pass.
+  for (int i = from; i < n; ++i) {
     // Two-stage software pipeline: pull the bucket-array line for probe
     // i+D, and the slot line for probe i+D/2 (whose bucket head is, by
     // then, usually resident). Pure prefetches — collisions and inserts
@@ -451,30 +306,21 @@ int AggHashTable::UpsertBatchImpl(const uint8_t* recs, int stride,
   return n - from;
 }
 
-bool AggHashTable::UseClassify() const {
-  // Opt-in only (see EnvForcesClassify): the streaming loop's prefetch
-  // pipeline beat the gather-based classifier in every regime measured.
-  // Radix drains walk a cache-sized bucket region by construction, so
-  // they always stream regardless.
-  return classify_ok_ && !radix_enabled_ && EnvForcesClassify();
-}
-
 template <bool StopAtFull, int HashStrideCT>
 int AggHashTable::DispatchUpsertBatch(const uint8_t* recs, int stride,
                                       const uint8_t* hash_base,
                                       int hash_stride, int from, int n,
                                       std::vector<int>* overflow) {
   const bool key8 = key_width_ == 8;
-  const bool use_classify = UseClassify();
   // Instantiates the impl over the key8 runtime split (the functor and
   // StopAtFull are compile-time already).
   auto run = [&](bool fused, const auto& update) {
     return key8 ? UpsertBatchImpl<true, StopAtFull, HashStrideCT>(
-                      recs, stride, hash_base, hash_stride, use_classify,
-                      from, n, overflow, fused, update)
+                      recs, stride, hash_base, hash_stride, from, n,
+                      overflow, fused, update)
                 : UpsertBatchImpl<false, StopAtFull, HashStrideCT>(
-                      recs, stride, hash_base, hash_stride, use_classify,
-                      from, n, overflow, fused, update);
+                      recs, stride, hash_base, hash_stride, from, n,
+                      overflow, fused, update);
   };
   switch (spec_->fused_kernel()) {
     case FusedKernelKind::kCountSumInt64:
@@ -493,14 +339,13 @@ int AggHashTable::DispatchMergeBatch(const uint8_t* recs, int stride,
                                      int hash_stride, int from, int n,
                                      std::vector<int>* overflow) {
   const bool key8 = key_width_ == 8;
-  const bool use_classify = UseClassify();
   auto run = [&](bool fused, const auto& update) {
     return key8 ? UpsertBatchImpl<true, StopAtFull, HashStrideCT>(
-                      recs, stride, hash_base, hash_stride, use_classify,
-                      from, n, overflow, fused, update)
+                      recs, stride, hash_base, hash_stride, from, n,
+                      overflow, fused, update)
                 : UpsertBatchImpl<false, StopAtFull, HashStrideCT>(
-                      recs, stride, hash_base, hash_stride, use_classify,
-                      from, n, overflow, fused, update);
+                      recs, stride, hash_base, hash_stride, from, n,
+                      overflow, fused, update);
   };
   switch (spec_->fused_merge_kernel()) {
     case FusedMergeKind::kAddInt64:
@@ -767,136 +612,6 @@ void AggHashTable::Clear() {
     radix_overflow_.clear();
     radix_seq_ = 0;
   }
-}
-
-SharedAggHashTable::SharedAggHashTable(const AggregationSpec* spec,
-                                       int64_t capacity)
-    : spec_(spec),
-      key_width_(spec->key_width()),
-      state_width_(spec->state_width()),
-      state_words_(spec->state_width() / 8),
-      lock_free_(
-          spec->fused_merge_kernel() == FusedMergeKind::kAddInt64 ||
-          spec->fused_merge_kernel() == FusedMergeKind::kDistinct),
-      capacity_(NextPow2(std::max<int64_t>(capacity, 64))),
-      mask_(static_cast<uint64_t>(capacity_ - 1)),
-      limit_(capacity_ * 7 / 10),
-      init_state_(static_cast<size_t>(state_width_)),
-      buckets_(static_cast<size_t>(capacity_)),
-      keys_(static_cast<size_t>(capacity_) *
-            static_cast<size_t>(key_width_)) {
-  spec_->InitState(init_state_.data());
-  if (lock_free_) {
-    states_ll_ = std::vector<std::atomic<int64_t>>(
-        static_cast<size_t>(capacity_) *
-        static_cast<size_t>(state_words_));
-  } else {
-    states_.resize(static_cast<size_t>(capacity_) *
-                   static_cast<size_t>(state_width_));
-  }
-}
-
-int64_t SharedAggHashTable::locked_merges() {
-  int64_t total = 0;
-  for (Stripe& s : stripes_) {
-    MutexLock lock(&s.mu);
-    total += s.locked_merges;
-  }
-  return total;
-}
-
-void SharedAggHashTable::MergeInto(int64_t idx, const uint8_t* in_state) {
-  if (lock_free_) {
-    for (int w = 0; w < state_words_; ++w) {
-      int64_t v;
-      std::memcpy(&v, in_state + w * 8, 8);
-      states_ll_[static_cast<size_t>(idx * state_words_ + w)].fetch_add(
-          v, std::memory_order_relaxed);
-    }
-    return;
-  }
-  Stripe& s = stripes_[idx % kStripes];
-  MutexLock lock(&s.mu);
-  ++s.locked_merges;
-  spec_->MergeState(&states_[static_cast<size_t>(
-                        idx * static_cast<int64_t>(state_width_))],
-                    in_state);
-}
-
-bool SharedAggHashTable::UpsertPartialConcurrent(const uint8_t* partial,
-                                                 uint64_t hash) {
-  const uint8_t* key = spec_->KeyOfPartial(partial);
-  const uint8_t* in_state = spec_->StateOfPartial(partial);
-  uint64_t pos = hash & mask_;
-  while (true) {
-    uint64_t tag = buckets_[pos].load(std::memory_order_acquire);
-    if (tag == kEmpty) {
-      // A full table refuses the insert *before* claiming, so a refused
-      // record costs no slot and no spinning elsewhere. The check races
-      // concurrent claims, but the 30% headroom above the limit absorbs
-      // any overshoot (bounded by the thread count).
-      if (size_.load(std::memory_order_relaxed) >= limit_) return false;
-      if (buckets_[pos].compare_exchange_strong(
-              tag, kClaimed, std::memory_order_acq_rel,
-              std::memory_order_acquire)) {
-        const int64_t idx = size_.fetch_add(1, std::memory_order_acq_rel);
-        ADAPTAGG_CHECK(idx < capacity_)
-            << "shared merge table claim overshot its arena";
-        std::memcpy(&keys_[static_cast<size_t>(
-                        idx * static_cast<int64_t>(key_width_))],
-                    key, static_cast<size_t>(key_width_));
-        if (lock_free_) {
-          for (int w = 0; w < state_words_; ++w) {
-            int64_t v;
-            std::memcpy(&v, init_state_.data() + w * 8, 8);
-            states_ll_[static_cast<size_t>(idx * state_words_ + w)].store(
-                v, std::memory_order_relaxed);
-          }
-        } else if (state_width_ > 0) {
-          std::memcpy(&states_[static_cast<size_t>(
-                          idx * static_cast<int64_t>(state_width_))],
-                      init_state_.data(),
-                      static_cast<size_t>(state_width_));
-        }
-        // Publish: the release store orders the key/init writes above
-        // before any acquire-loading prober can reach them.
-        buckets_[pos].store(static_cast<uint64_t>(idx) + kPublishedBase,
-                            std::memory_order_release);
-        MergeInto(idx, in_state);
-        return true;
-      }
-      continue;  // lost the claim race; re-examine the same bucket
-    }
-    if (tag == kClaimed) {
-      continue;  // publisher is mid-flight; its release store is near
-    }
-    const int64_t idx = static_cast<int64_t>(tag - kPublishedBase);
-    if (std::memcmp(&keys_[static_cast<size_t>(
-                        idx * static_cast<int64_t>(key_width_))],
-                    key, static_cast<size_t>(key_width_)) == 0) {
-      MergeInto(idx, in_state);
-      return true;
-    }
-    pos = (pos + 1) & mask_;
-  }
-}
-
-SharedAggHashTable* SharedMergeArena::GetOrInit(const AggregationSpec* spec,
-                                                int64_t capacity) {
-  MutexLock lock(&mu_);
-  if (table_ == nullptr) {
-    table_ = std::make_unique<SharedAggHashTable>(spec, capacity);
-  } else {
-    ADAPTAGG_CHECK(table_->capacity() ==
-                   NextPow2(std::max<int64_t>(capacity, 64)))
-        << "nodes disagree on the shared merge table capacity";
-  }
-  return table_.get();
-}
-
-void SharedMergeArena::Reset() {
-  MutexLock lock(&mu_);
-  table_.reset();
 }
 
 }  // namespace adaptagg

@@ -1,7 +1,6 @@
 #ifndef ADAPTAGG_AGG_HASH_TABLE_H_
 #define ADAPTAGG_AGG_HASH_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -9,7 +8,6 @@
 
 #include "agg/agg_spec.h"
 #include "agg/batch_kernels.h"
-#include "common/mutex.h"
 #include "common/status.h"
 
 namespace adaptagg {
@@ -52,28 +50,18 @@ struct HashTableStats {
 /// that condition is exactly the adaptive algorithms' switch signal — but
 /// existing groups can always continue to update in place.
 ///
-/// Two batch-plane accelerations sit behind the same entry points:
-///
-///  * 8-byte keys probe through the dispatched SIMD classifier
-///    (common/simd.h): eight home buckets are gathered and compared in
-///    one register, and only ambiguous lanes (collision chains,
-///    duplicate keys within the group) fall back to the scalar probe
-///    loop. Record order, stop-at-full precision, and every emitted
-///    byte are identical to the scalar path.
-///
-///  * EnableRadixPartitioning(P) turns on cache-sized radix
-///    pre-partitioning for high-cardinality inputs: batch upserts
-///    scatter records (with their hash and a global arrival sequence
-///    number) into P per-partition staging buffers keyed by the top
-///    bits of the masked hash, so each partition owns a contiguous
-///    bucket range. Partitions drain — at a staging soft cap and at
-///    FlushRadixStaging() — through the normal batch upsert over only
-///    their L2-sized region. ForEach then emits groups sorted by each
-///    group's first-occurrence sequence, which is exactly the insertion
-///    order the non-partitioned path would have produced, so results
-///    stay byte-identical. Records refused by a full table surface
-///    through DrainRadixOverflow() instead of the caller's overflow
-///    vector.
+/// EnableRadixPartitioning(P) turns on cache-sized radix
+/// pre-partitioning for high-cardinality inputs: batch upserts scatter
+/// records (with their hash and a global arrival sequence number) into P
+/// per-partition staging buffers keyed by the top bits of the masked
+/// hash, so each partition owns a contiguous bucket range. Partitions
+/// drain — at a staging soft cap and at FlushRadixStaging() — through
+/// the normal batch upsert over only their L2-sized region. ForEach then
+/// emits groups sorted by each group's first-occurrence sequence, which
+/// is exactly the insertion order the non-partitioned path would have
+/// produced, so results stay byte-identical. Records refused by a full
+/// table surface through DrainRadixOverflow() instead of the caller's
+/// overflow vector.
 ///
 /// Not thread-safe: one table per node phase.
 class AggHashTable {
@@ -252,23 +240,20 @@ class AggHashTable {
   /// The shared probe/insert skeleton of every batch upsert, over raw
   /// arrays so staged radix runs reuse it without re-copying: records
   /// start at `recs` with `stride` bytes between them, record i's hash
-  /// sits at `hash_base + i * hash_stride`. SIMD probe classification
-  /// for 8-byte keys, two-stage prefetch pipeline, linear probing,
-  /// stop-at-full or overflow collection. `update(state, rec)` folds one
-  /// record into its slot's (initialized) state — a fused raw-update, a
-  /// fused partial-merge, or the interpreted fallback; `fused` only
-  /// feeds the stats. Works for projected and partial records alike
-  /// because both carry the group key as their prefix. `HashStrideCT`
-  /// folds a compile-time hash stride into the hot loop's address math
-  /// (0 = use the runtime `hash_stride`); `use_classify` engages the
-  /// 8-lane SIMD probe classifier — see UseClassify() for when that
-  /// pays.
+  /// sits at `hash_base + i * hash_stride`. Two-stage prefetch
+  /// pipeline, linear probing, stop-at-full or overflow collection.
+  /// `update(state, rec)` folds one record into its slot's (initialized)
+  /// state — a fused raw-update, a fused partial-merge, or the
+  /// interpreted fallback; `fused` only feeds the stats. Works for
+  /// projected and partial records alike because both carry the group
+  /// key as their prefix. `HashStrideCT` folds a compile-time hash
+  /// stride into the hot loop's address math (0 = use the runtime
+  /// `hash_stride`).
   template <bool Key8, bool StopAtFull, int HashStrideCT, typename UpdateFn>
   int UpsertBatchImpl(const uint8_t* recs, int stride,
                       const uint8_t* hash_base, int hash_stride,
-                      bool use_classify, int from, int n,
-                      std::vector<int>* overflow, bool fused,
-                      const UpdateFn& update);
+                      int from, int n, std::vector<int>* overflow,
+                      bool fused, const UpdateFn& update);
 
   template <bool StopAtFull, int HashStrideCT>
   int DispatchUpsertBatch(const uint8_t* recs, int stride,
@@ -279,15 +264,6 @@ class AggHashTable {
   int DispatchMergeBatch(const uint8_t* recs, int stride,
                          const uint8_t* hash_base, int hash_stride,
                          int from, int n, std::vector<int>* overflow);
-
-  /// Whether batch upserts should run the SIMD probe classifier instead
-  /// of the streaming prefetch loop. Opt-in via ADAPTAGG_FORCE_CLASSIFY:
-  /// measured across L2-resident through DRAM-resident tables, the
-  /// prefetch-pipelined streaming loop beat the gather-based classifier
-  /// everywhere, so the classifier stays a tested-but-dormant path.
-  /// Radix drains always stream — each drain walks a cache-sized bucket
-  /// region by construction.
-  bool UseClassify() const;
 
   /// Scatters batch records [from, size) into the per-partition staging
   /// buffers, draining any partition that crosses the soft cap.
@@ -308,9 +284,6 @@ class AggHashTable {
   int key_width_;
   int state_width_;
   int slot_width_;
-  /// 8-byte-key batches may use the SIMD probe classifier (requires slot
-  /// indices and byte offsets to fit the gather math's 32-bit lanes).
-  bool classify_ok_ = false;
 
   // arena_ is pre-sized to `capacity_slots_` slots (of which the first
   // `size_` are live); buckets_ maps hash positions to slot indices
@@ -353,146 +326,6 @@ class AggHashTable {
   /// Entries refused by the full table, pending DrainRadixOverflow.
   std::vector<uint8_t> radix_overflow_;
   std::vector<int> radix_ovf_scratch_;
-};
-
-/// Concurrent fixed-capacity aggregation table for the shared global
-/// merge topology (DESIGN.md §12): every node of an in-process cluster
-/// folds its partial records into ONE table, replacing the merge
-/// exchange with memory traffic. Unlike AggHashTable it never resizes
-/// and never spills — a record whose group is new while the table sits
-/// at its 70% load ceiling is refused, and the caller keeps it in a
-/// private overflow instead of blocking other threads.
-///
-/// Slot protocol (open addressing, linear probing over a power-of-two
-/// bucket array): a bucket word holds 0 (empty), 1 (claimed — a writer
-/// is publishing the slot) or slot_index + 2 (published). Inserting
-/// CASes 0 -> 1, writes the key and the spec's initial state into the
-/// claimed slot, then publishes with a release store; probers that see
-/// "claimed" spin until the release store lands, so a published slot's
-/// key and initial state are always visible (release/acquire).
-///
-/// Merging runs on one of two planes, chosen once from the spec:
-///
-///  * lock-free — specs whose partial states are int64 words merged by
-///    addition (FusedMergeKind::kAddInt64, and the stateless kDistinct):
-///    each state word is a std::atomic<int64_t> and every merge is a
-///    relaxed fetch_add. Addition commutes, so totals are exact under
-///    any interleaving and for any initial value.
-///  * striped locks — every other spec: slot index mod 64 picks a
-///    stripe, and the interpreted MergeState runs under that stripe's
-///    Mutex, bounding contention to same-stripe collisions.
-///
-/// ForEach requires external quiescence: every writer must have passed
-/// a synchronizing barrier (the merge topology's reduce round) first.
-class SharedAggHashTable {
- public:
-  /// `spec` must outlive the table. `capacity` is rounded up to a power
-  /// of two (minimum 64); inserts are refused at 70% of it.
-  SharedAggHashTable(const AggregationSpec* spec, int64_t capacity);
-
-  const AggregationSpec& spec() const { return *spec_; }
-  int64_t capacity() const { return capacity_; }
-  int64_t size() const { return size_.load(std::memory_order_acquire); }
-  bool lock_free() const { return lock_free_; }
-
-  /// Merges performed under a stripe lock (0 on the lock-free plane).
-  int64_t locked_merges();
-
-  /// The single concurrent entry point (adaptagg_lint rule S14 confines
-  /// its callers to the merge-topology plane): merges one partial record
-  /// into the table under the spec's precomputed key hash. Returns false
-  /// when the record's group is new but the table is at its load
-  /// ceiling; the caller must keep the record in a private overflow.
-  /// Thread-safe; every other method is not.
-  bool UpsertPartialConcurrent(const uint8_t* partial, uint64_t hash);
-
-  /// Calls `fn(key_ptr, state_ptr)` for every published group in slot
-  /// allocation order. Only valid after every writer has passed a
-  /// barrier that happens-before this call; the iteration order depends
-  /// on thread interleaving, so callers must not let it reach any
-  /// order-sensitive output (the merge topology re-keys groups through
-  /// an order-insensitive scratch aggregator before emission).
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    const int64_t n = size_.load(std::memory_order_acquire);
-    std::vector<uint8_t> scratch(
-        static_cast<size_t>(state_words_) * 8 + 1);
-    for (int64_t i = 0; i < n; ++i) {
-      const uint8_t* key =
-          keys_.data() + i * static_cast<int64_t>(key_width_);
-      if (lock_free_) {
-        for (int w = 0; w < state_words_; ++w) {
-          const int64_t v = states_ll_[static_cast<size_t>(
-                                           i * state_words_ + w)]
-                                .load(std::memory_order_relaxed);
-          std::memcpy(scratch.data() + w * 8, &v, 8);
-        }
-        fn(key, scratch.data());
-      } else {
-        fn(key, states_.data() + i * static_cast<int64_t>(state_width_));
-      }
-    }
-  }
-
- private:
-  static constexpr uint64_t kEmpty = 0;
-  static constexpr uint64_t kClaimed = 1;
-  static constexpr uint64_t kPublishedBase = 2;
-  static constexpr int kStripes = 64;
-
-  struct Stripe {
-    Mutex mu;
-    /// Merges serialized by this stripe (contention observability).
-    int64_t locked_merges ADAPTAGG_GUARDED_BY(mu) = 0;
-  };
-
-  /// Folds one incoming partial state into published slot `idx`.
-  void MergeInto(int64_t idx, const uint8_t* in_state);
-
-  const AggregationSpec* spec_;
-  int key_width_;
-  int state_width_;
-  int state_words_;
-  bool lock_free_;
-  int64_t capacity_;
-  uint64_t mask_;
-  /// Insert refusal threshold (70% of capacity).
-  int64_t limit_;
-  /// The spec's initial state bytes, computed once (publication copies
-  /// them instead of re-running InitState under the claim).
-  std::vector<uint8_t> init_state_;
-  std::vector<std::atomic<uint64_t>> buckets_;
-  std::vector<uint8_t> keys_;
-  /// Striped plane: plain state bytes, guarded by the slot's stripe.
-  std::vector<uint8_t> states_;
-  /// Lock-free plane: one atomic per 8-byte state word.
-  std::vector<std::atomic<int64_t>> states_ll_;
-  /// Slots claimed so far (allocation counter and published size — the
-  /// two coincide whenever no claim is in flight).
-  std::atomic<int64_t> size_{0};
-  Stripe stripes_[kStripes];
-};
-
-/// Owns the one shared merge table of an in-process cluster run. The
-/// cluster hands every NodeContext the same arena; the first node to
-/// reach its merge setup creates the table and the rest attach to it.
-/// Capacity derives from broadcast-agreed decision inputs, so every
-/// node computes the same value — GetOrInit enforces that.
-class SharedMergeArena {
- public:
-  /// Returns the shared table, creating it on first call. Later callers
-  /// must pass the same capacity (CHECKed) and a spec with identical
-  /// layout.
-  SharedAggHashTable* GetOrInit(const AggregationSpec* spec,
-                                int64_t capacity);
-
-  /// Drops the table (between recovery attempts and between serving-
-  /// layer sessions). Callers must have quiesced every user first.
-  void Reset();
-
- private:
-  Mutex mu_;
-  std::unique_ptr<SharedAggHashTable> table_ ADAPTAGG_GUARDED_BY(mu_);
 };
 
 }  // namespace adaptagg

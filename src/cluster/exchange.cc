@@ -43,12 +43,8 @@ void GatherLanes(const TupleBatch& batch, const int* idx, int n,
 }  // namespace
 
 Exchange::Exchange(NodeContext* ctx, MessageType type, int record_width,
-                   uint32_t phase, bool cost_exempt)
-    : ctx_(ctx),
-      type_(type),
-      record_width_(record_width),
-      phase_(phase),
-      cost_exempt_(cost_exempt) {
+                   uint32_t phase)
+    : ctx_(ctx), type_(type), record_width_(record_width), phase_(phase) {
   const int n = ctx->num_nodes();
   builders_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -72,9 +68,7 @@ Status Exchange::SendPage(int dest) {
   msg.payload = builders_[static_cast<size_t>(dest)].FinishWire(
       ctx_->AcquirePageBuffer());
   msg.charged_bytes =
-      cost_exempt_
-          ? kExemptChargedBytes
-          : static_cast<uint32_t>(ctx_->params().message_page_bytes);
+      static_cast<uint32_t>(ctx_->params().message_page_bytes);
   // Deterministic per-destination data-page numbering: a replayed sender
   // regenerates the identical stream, so a recovering receiver can skip
   // pages at or below its checkpointed fold watermark.

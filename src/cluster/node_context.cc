@@ -302,20 +302,6 @@ Status NodeContext::InjectCrash(const std::string& where) {
   return Status::Internal("injected crash at " + where);
 }
 
-void NodeContext::ChargePhantomSend(uint32_t charged_bytes) {
-  Message msg;
-  msg.type = MessageType::kPartialPage;
-  msg.charged_bytes = charged_bytes;
-  net_->OnSend(clock_, msg);
-}
-
-void NodeContext::ChargePhantomReceive(uint32_t charged_bytes) {
-  Message msg;
-  msg.type = MessageType::kPartialPage;
-  msg.charged_bytes = charged_bytes;
-  net_->OnReceive(clock_, msg);
-}
-
 void NodeContext::SyncDiskIo() {
   if (disk_ == nullptr) return;
   const DiskStats& now = disk_->stats();

@@ -103,37 +103,6 @@ void HashKeysFnvWords(const uint8_t* recs, int stride, int words, int n,
   HashKeysFnvWordsScalar(recs, stride, words, n, basis, prime, out);
 }
 
-void ProbeClassify8Scalar(const int64_t* buckets, uint64_t bucket_mask,
-                          const uint8_t* arena, int64_t slot_width,
-                          const uint8_t* recs, int stride,
-                          const uint64_t* hashes, Classify8* out) {
-  uint32_t hit = 0;
-  uint32_t empty = 0;
-  for (int i = 0; i < 8; ++i) {
-    const uint64_t pos = hashes[i] & bucket_mask;
-    const int64_t slot = buckets[pos];
-    out->slots[i] = slot;
-    if (slot < 0) {
-      empty |= 1u << i;
-      continue;
-    }
-    uint64_t slot_key;
-    uint64_t probe_key;
-    std::memcpy(&slot_key, arena + slot * slot_width, 8);
-    std::memcpy(&probe_key, recs + static_cast<int64_t>(i) * stride, 8);
-    if (slot_key == probe_key) hit |= 1u << i;
-  }
-  out->hit_mask = hit;
-  out->empty_mask = empty;
-}
-
-ProbeClassify8Fn ResolveProbeClassify8() {
-#if defined(ADAPTAGG_SIMD_HAVE_AVX2)
-  if (ActiveDispatch() == DispatchKind::kAvx2) return &ProbeClassify8Avx2;
-#endif
-  return &ProbeClassify8Scalar;
-}
-
 void MergeMinMaxInt64Scalar(uint8_t* state, const uint8_t* other,
                             const uint8_t* is_min, int num_ops) {
   for (int op = 0; op < num_ops; ++op) {

@@ -2,7 +2,6 @@
 #include <unordered_set>
 
 #include "core/algorithm.h"
-#include "core/merge_topology.h"
 #include "core/phases.h"
 
 namespace adaptagg {
@@ -27,13 +26,14 @@ class AdaptiveRepartitioning : public Algorithm {
     SpillingAggregator global(&spec, ctx.disk(), ctx.max_hash_entries(),
                               ctx.options().spill_fanout,
                               "garep_n" + std::to_string(ctx.node_id()));
-    MergePlane merge(&ctx, &global,
-                     MergePlane::Config{
-                         [n](uint64_t h) { return DestOfKeyHash(h, n); },
-                         /*broadcast_eos=*/true, /*supported=*/true});
-    DataReceiver& recv = merge.receiver(n);
+    DataReceiver recv(&ctx, &global, n);
+    Exchange ex_partial(&ctx, MessageType::kPartialPage,
+                        spec.partial_width(), kPhaseData);
     Exchange ex_raw(&ctx, MessageType::kRawPage, spec.projected_width(),
                     kPhaseData);
+    const PartialDestFn dest = [n](uint64_t h) {
+      return DestOfKeyHash(h, n);
+    };
 
     AggHashTable local(&spec, ctx.max_hash_entries());
 
@@ -150,7 +150,7 @@ class AdaptiveRepartitioning : public Algorithm {
                      {"table_size", local.size()},
                      {"table_limit", ctx.max_hash_entries()}});
                 ADAPTAGG_RETURN_IF_ERROR(
-                    SendTablePartials(ctx, local, merge));
+                    SendTablePartials(ctx, local, ex_partial, dest));
                 mode = Mode::kRepartitionAgain;
                 ctx.clock().AddCpu(p.t_d());
                 ++ctx.stats().raw_records_sent;
@@ -184,11 +184,12 @@ class AdaptiveRepartitioning : public Algorithm {
       ADAPTAGG_RETURN_IF_ERROR(RunBatchedScan(ctx, process, poll));
 
       if (mode == Mode::kLocalAgg && local.size() > 0) {
-        ADAPTAGG_RETURN_IF_ERROR(SendTablePartials(ctx, local, merge));
+        ADAPTAGG_RETURN_IF_ERROR(
+            SendTablePartials(ctx, local, ex_partial, dest));
       }
-      ADAPTAGG_RETURN_IF_ERROR(merge.FlushPartials());
+      ADAPTAGG_RETURN_IF_ERROR(ex_partial.FlushAll());
       ADAPTAGG_RETURN_IF_ERROR(ex_raw.FlushAll());
-      ADAPTAGG_RETURN_IF_ERROR(merge.SendDataEos());
+      ADAPTAGG_RETURN_IF_ERROR(BroadcastEos(&ctx, kPhaseData));
       scan_span.AddArg("tuples_scanned", ctx.stats().tuples_scanned);
       scan_span.AddArg("switched", ctx.stats().switched ? 1 : 0);
     }
@@ -199,7 +200,7 @@ class AdaptiveRepartitioning : public Algorithm {
       PhaseTimer merge_span = ctx.obs().StartPhase("merge");
       ADAPTAGG_RETURN_IF_ERROR(recv.Drain());
     }
-    return merge.FinishAndEmit();
+    return EmitFinalResults(ctx, global);
   }
 };
 

@@ -1,5 +1,4 @@
 #include "core/algorithm.h"
-#include "core/merge_topology.h"
 #include "core/phases.h"
 
 namespace adaptagg {
@@ -25,11 +24,9 @@ class GraefeTwoPhase : public Algorithm {
     SpillingAggregator global(&spec, ctx.disk(), ctx.max_hash_entries(),
                               ctx.options().spill_fanout,
                               "ggra_n" + std::to_string(ctx.node_id()));
-    MergePlane merge(&ctx, &global,
-                     MergePlane::Config{
-                         [n](uint64_t h) { return DestOfKeyHash(h, n); },
-                         /*broadcast_eos=*/true, /*supported=*/true});
-    DataReceiver& recv = merge.receiver(n);
+    DataReceiver recv(&ctx, &global, n);
+    Exchange ex_partial(&ctx, MessageType::kPartialPage,
+                        spec.partial_width(), kPhaseData);
     Exchange ex_raw(&ctx, MessageType::kRawPage, spec.projected_width(),
                     kPhaseData);
 
@@ -73,10 +70,12 @@ class GraefeTwoPhase : public Algorithm {
             return recv.Poll();
           }));
 
-      ADAPTAGG_RETURN_IF_ERROR(SendTablePartials(ctx, local, merge));
-      ADAPTAGG_RETURN_IF_ERROR(merge.FlushPartials());
+      ADAPTAGG_RETURN_IF_ERROR(SendTablePartials(
+          ctx, local, ex_partial,
+          [n](uint64_t h) { return DestOfKeyHash(h, n); }));
+      ADAPTAGG_RETURN_IF_ERROR(ex_partial.FlushAll());
       ADAPTAGG_RETURN_IF_ERROR(ex_raw.FlushAll());
-      ADAPTAGG_RETURN_IF_ERROR(merge.SendDataEos());
+      ADAPTAGG_RETURN_IF_ERROR(BroadcastEos(&ctx, kPhaseData));
       scan_span.AddArg("tuples_scanned", ctx.stats().tuples_scanned);
     }
     AccumulateHashTableObs(ctx, local.stats());
@@ -86,7 +85,7 @@ class GraefeTwoPhase : public Algorithm {
       PhaseTimer merge_span = ctx.obs().StartPhase("merge");
       ADAPTAGG_RETURN_IF_ERROR(recv.Drain());
     }
-    return merge.FinishAndEmit();
+    return EmitFinalResults(ctx, global);
   }
 };
 

@@ -1,10 +1,10 @@
 #include "core/phases.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "cluster/recovery.h"
 #include "common/logging.h"
-#include "core/merge_topology.h"
 
 namespace adaptagg {
 namespace {
@@ -28,6 +28,20 @@ void MaybeEnableRadix(NodeContext& ctx, SpillingAggregator& agg,
                            {{"partitions", d.partitions},
                             {"est_groups", est_groups},
                             {"working_set_bytes", d.working_set_bytes}});
+}
+
+/// Packs one finished group into `rec` as a partial record and routes
+/// it to dest(key hash), charging t_w.
+Status SendPartial(NodeContext& ctx, Exchange& ex, const PartialDestFn& dest,
+                   const uint8_t* key, const uint8_t* state,
+                   std::vector<uint8_t>& rec) {
+  const AggregationSpec& spec = ctx.spec();
+  ctx.clock().AddCpu(ctx.params().t_w());
+  std::memcpy(rec.data(), key, static_cast<size_t>(spec.key_width()));
+  std::memcpy(rec.data() + spec.key_width(), state,
+              static_cast<size_t>(spec.state_width()));
+  ++ctx.stats().partial_records_sent;
+  return ex.AddRecord(dest(spec.HashKey(key)), rec.data());
 }
 
 }  // namespace
@@ -97,13 +111,6 @@ void DataReceiver::SetReplayWatermarks(const std::vector<uint64_t>& wm) {
 }
 
 Status DataReceiver::Handle(Message& msg) {
-  if (merge_plane_ != nullptr && msg.phase >= kPhaseMergeReduce) {
-    // Reduction-round traffic that raced ahead of the last data EOS;
-    // parked for the merge plane's own receive loops (flushed to the
-    // stash when Drain completes).
-    pending_merge_.push_back(std::move(msg));
-    return Status::OK();
-  }
   switch (msg.type) {
     case MessageType::kPartialPage:
     case MessageType::kRawPage: {
@@ -129,11 +136,6 @@ Status DataReceiver::Handle(Message& msg) {
     }
     case MessageType::kEndOfStream:
       if (msg.phase == kPhaseData) {
-        if (merge_plane_ != nullptr && !msg.payload.empty()) {
-          // Non-seed topologies attach a phantom-charge ledger to their
-          // data EOS; replay the seed's receive-side costs from it.
-          ADAPTAGG_RETURN_IF_ERROR(merge_plane_->FoldLedger(msg));
-        }
         ++eos_seen_;
         // Liveness bookkeeping only (duplicated messages were already
         // discarded by sequence number below this layer).
@@ -178,11 +180,32 @@ Status DataReceiver::Drain() {
         }));
     ADAPTAGG_RETURN_IF_ERROR(Handle(msg));
   }
-  for (Message& msg : pending_merge_) {
-    ctx_->Stash(std::move(msg));
-  }
-  pending_merge_.clear();
   return Status::OK();
+}
+
+Status SendPartials(NodeContext& ctx, SpillingAggregator& agg, Exchange& ex,
+                    const PartialDestFn& dest) {
+  std::vector<uint8_t> rec(static_cast<size_t>(ctx.spec().partial_width()));
+  Status status;
+  Status finish = agg.Finish([&](const uint8_t* key, const uint8_t* state) {
+    if (status.ok()) status = SendPartial(ctx, ex, dest, key, state, rec);
+  });
+  ctx.stats().spill.Accumulate(agg.stats());
+  AccumulateHashTableObs(ctx, agg.ht_stats());
+  ctx.SyncDiskIo();
+  if (!finish.ok()) return finish;
+  return status;
+}
+
+Status SendTablePartials(NodeContext& ctx, AggHashTable& table,
+                         Exchange& ex, const PartialDestFn& dest) {
+  std::vector<uint8_t> rec(static_cast<size_t>(ctx.spec().partial_width()));
+  Status status;
+  table.ForEach([&](const uint8_t* key, const uint8_t* state) {
+    if (status.ok()) status = SendPartial(ctx, ex, dest, key, state, rec);
+  });
+  table.Clear();
+  return status;
 }
 
 Status EmitFinalResults(NodeContext& ctx, SpillingAggregator& global) {
@@ -222,13 +245,11 @@ Status RunTwoPhaseBody(NodeContext& ctx) {
   if (restore == nullptr) {
     // Each node's merge table owns ~1/n of the groups routed by key hash.
     MaybeEnableRadix(ctx, global, "global",
-                     ctx.estimated_local_groups() / std::max(n, 1));
+                     ctx.estimated_global_groups() / std::max(n, 1));
   }
-  MergePlane merge(&ctx, &global,
-                   MergePlane::Config{
-                       [n](uint64_t h) { return DestOfKeyHash(h, n); },
-                       /*broadcast_eos=*/true, /*supported=*/true});
-  DataReceiver& recv = merge.receiver(n);
+  DataReceiver recv(&ctx, &global, n);
+  Exchange ex(&ctx, MessageType::kPartialPage, spec.partial_width(),
+              kPhaseData);
 
   // Phase 1: aggregate the local partition.
   SpillingAggregator local(&spec, ctx.disk(), ctx.max_hash_entries(),
@@ -312,9 +333,10 @@ Status RunTwoPhaseBody(NodeContext& ctx) {
     // Ship local partials to their owner nodes. On replay this
     // regenerates the identical stream; receivers that already folded a
     // page skip it by its deterministic page_seq.
-    ADAPTAGG_RETURN_IF_ERROR(SendPartials(ctx, local, merge));
-    ADAPTAGG_RETURN_IF_ERROR(merge.FlushPartials());
-    ADAPTAGG_RETURN_IF_ERROR(merge.SendDataEos());
+    ADAPTAGG_RETURN_IF_ERROR(SendPartials(
+        ctx, local, ex, [n](uint64_t h) { return DestOfKeyHash(h, n); }));
+    ADAPTAGG_RETURN_IF_ERROR(ex.FlushAll());
+    ADAPTAGG_RETURN_IF_ERROR(BroadcastEos(&ctx, kPhaseData));
     scan_span.AddArg("tuples_scanned", ctx.stats().tuples_scanned);
   }
 
@@ -324,7 +346,7 @@ Status RunTwoPhaseBody(NodeContext& ctx) {
     PhaseTimer merge_span = ctx.obs().StartPhase("merge");
     ADAPTAGG_RETURN_IF_ERROR(recv.Drain());
   }
-  return merge.FinishAndEmit();
+  return EmitFinalResults(ctx, global);
 }
 
 Status RunRepartitioningBody(NodeContext& ctx) {
@@ -346,13 +368,9 @@ Status RunRepartitioningBody(NodeContext& ctx) {
     // Repartitioning routes raw tuples by key hash, so this node's table
     // holds ~1/n of the groups.
     MaybeEnableRadix(ctx, global, "global",
-                     ctx.estimated_local_groups() / std::max(n, 1));
+                     ctx.estimated_global_groups() / std::max(n, 1));
   }
-  MergePlane merge(&ctx, &global,
-                   MergePlane::Config{
-                       [n](uint64_t h) { return DestOfKeyHash(h, n); },
-                       /*broadcast_eos=*/true, /*supported=*/true});
-  DataReceiver& recv = merge.receiver(n);
+  DataReceiver recv(&ctx, &global, n);
   if (restore != nullptr) {
     ADAPTAGG_RETURN_IF_ERROR(global.RestoreFrom(
         restore->global_partials.data(), restore->global_partials.size()));
@@ -398,9 +416,7 @@ Status RunRepartitioningBody(NodeContext& ctx) {
         }));
 
     ADAPTAGG_RETURN_IF_ERROR(ex.FlushAll());
-    // No partial stream here, so the merge plane's EOS carries no
-    // ledger; it is the seed broadcast either way.
-    ADAPTAGG_RETURN_IF_ERROR(merge.SendDataEos());
+    ADAPTAGG_RETURN_IF_ERROR(BroadcastEos(&ctx, kPhaseData));
     scan_span.AddArg("tuples_scanned", ctx.stats().tuples_scanned);
   }
   {
@@ -408,7 +424,7 @@ Status RunRepartitioningBody(NodeContext& ctx) {
     PhaseTimer merge_span = ctx.obs().StartPhase("merge");
     ADAPTAGG_RETURN_IF_ERROR(recv.Drain());
   }
-  return merge.FinishAndEmit();
+  return EmitFinalResults(ctx, global);
 }
 
 }  // namespace adaptagg

@@ -13,14 +13,9 @@
 namespace adaptagg {
 
 /// Message phase ids. The Sampling algorithm runs a phase-0 estimation
-/// round before the data phase all algorithms use; the non-seed merge
-/// topologies (DESIGN.md §12) run their reduction and emit-scatter
-/// rounds in dedicated phases so data-phase receivers can park early
-/// reduction frames instead of misreading them.
+/// round before the data phase all algorithms use.
 inline constexpr uint32_t kPhaseSample = 0;
 inline constexpr uint32_t kPhaseData = 1;
-inline constexpr uint32_t kPhaseMergeReduce = 2;
-inline constexpr uint32_t kPhaseMergeEmit = 3;
 
 /// How often scanning loops service their inbox (tuples between polls).
 /// Polling while producing is what lets Adaptive Repartitioning react to
@@ -77,8 +72,6 @@ inline void AccumulateHashTableObs(NodeContext& ctx,
   o.agg_batch_fused_tuples.Add(s.fused_tuples);
 }
 
-class MergePlane;
-
 /// Consumes data-phase messages for one node: raw pages and partial pages
 /// are validated, decoded into zero-copy batch views, and folded into the
 /// node's global-phase aggregator with the paper's per-record merge
@@ -134,13 +127,6 @@ class DataReceiver {
     post_fold_hook_ = std::move(hook);
   }
 
-  /// Attaches the run's merge plane: data-phase end-of-stream markers
-  /// carrying a phantom-charge ledger are folded through it, and frames
-  /// of the merge phases (kPhaseMergeReduce and later) are parked until
-  /// Drain completes, then re-stashed for the topology's own receive
-  /// loops. Installed by MergePlane::receiver().
-  void set_merge_plane(MergePlane* plane) { merge_plane_ = plane; }
-
  private:
   Status Handle(Message& msg);
   /// Validates and decodes one page payload, feeding the sink one
@@ -165,24 +151,22 @@ class DataReceiver {
   /// replayed duplicates and are skipped.
   std::vector<uint64_t> fold_watermark_;
   std::function<Status()> post_fold_hook_;
-  MergePlane* merge_plane_ = nullptr;
-  /// Merge-phase frames that raced ahead of the last data EOS; flushed
-  /// to the context stash when Drain completes (stashing them earlier
-  /// would loop: Recv pops the stash first).
-  std::vector<Message> pending_merge_;
 };
 
+/// Destination node of a partial record, by its group-key hash:
+/// DestOfKeyHash for the partitioned merge (2P, Rep and the adaptive
+/// algorithms), constant 0 for Centralized Two Phase's central merge.
+using PartialDestFn = std::function<int(uint64_t key_hash)>;
+
 /// Emits every group of a finished local aggregation as a partial
-/// record, charging t_w per record, into the run's merge plane — which
-/// routes it over the seed exchange or the chosen merge topology (see
-/// core/merge_topology.h, where these are defined).
-Status SendPartials(NodeContext& ctx, SpillingAggregator& agg,
-                    MergePlane& merge);
+/// record, charging t_w per record, into `ex` at `dest(key hash)`.
+Status SendPartials(NodeContext& ctx, SpillingAggregator& agg, Exchange& ex,
+                    const PartialDestFn& dest);
 
 /// Same, but draining a bare (non-spilling) hash table; used by the
 /// adaptive algorithms when flushing their local table on a switch.
 Status SendTablePartials(NodeContext& ctx, AggHashTable& table,
-                         MergePlane& merge);
+                         Exchange& ex, const PartialDestFn& dest);
 
 /// Finishes the global aggregation: emits every group as a final result
 /// row on this node.

@@ -6,19 +6,17 @@
 #include "core/algorithm.h"
 #include "core/phases.h"
 #include "model/locality_model.h"
-#include "model/merge_model.h"
 #include "model/sampling_model.h"
 
 namespace adaptagg {
 namespace internal_core {
 namespace {
 
-/// Decision broadcast payload: [u8 use_repartitioning][u8 merge
-/// topology][u16 skew_q8, LE][u64 estimated global groups, LE]. The
-/// message's charged_bytes pins the modeled network charge to the
-/// historical 1-byte decision, so growing the payload is free on the
-/// cost model.
-constexpr size_t kDecisionBytes = 12;
+/// Decision broadcast payload: [u8 use_repartitioning][u64 estimated
+/// global groups, LE]. The message's charged_bytes pins the modeled
+/// network charge to the historical 1-byte decision, so the estimate
+/// rides free on the cost model.
+constexpr size_t kDecisionBytes = 9;
 
 /// Phase 0 of the Sampling algorithm: page-oriented random sampling on
 /// every node, distinct keys unioned at the coordinator, decision
@@ -125,8 +123,6 @@ Result<bool> DecideBySampling(NodeContext& ctx) {
     // Await every node that has not yet sent its sample end-of-stream;
     // a node that dies mid-sample is named by the failed wait.
     std::unordered_set<std::string> all_keys;
-    // Distinct-key count per origin: the merge model's skew signal.
-    std::vector<int64_t> origin_keys(static_cast<size_t>(n), 0);
     std::vector<bool> eos_from(static_cast<size_t>(n), false);
     int eos_seen = 0;
     while (eos_seen < n) {
@@ -152,13 +148,10 @@ Result<bool> DecideBySampling(NodeContext& ctx) {
         return Status::Internal("unexpected message during sampling: " +
                                 MessageTypeToString(msg.type));
       }
-      const bool origin_known = msg.from >= 0 && msg.from < n;
-      const size_t origin = static_cast<size_t>(origin_known ? msg.from : 0);
       ADAPTAGG_RETURN_IF_ERROR(ForEachRecordInPage(
           msg, spec.key_width(), p.message_page_bytes,
           [&](const uint8_t* rec) {
             ctx.clock().AddCpu(p.t_r());
-            ++origin_keys[origin];
             all_keys.emplace(reinterpret_cast<const char*>(rec),
                              static_cast<size_t>(spec.key_width()));
           }));
@@ -166,46 +159,20 @@ Result<bool> DecideBySampling(NodeContext& ctx) {
     bool use_repartitioning =
         static_cast<int64_t>(all_keys.size()) >= threshold;
 
-    // Merge-topology decision from the same sample, all counts (lint
-    // D1-D3: no wall clock in decisions): a global group estimate from
-    // the unioned keys, and per-origin distinct counts as the skew
-    // signal (q8: 256 = perfectly balanced).
-    int64_t total_keys = 0;
-    int64_t max_keys = 0;
-    for (int64_t c : origin_keys) {
-      total_keys += c;
-      max_keys = std::max(max_keys, c);
-    }
-    const int32_t skew_q8 =
-        total_keys > 0
-            ? static_cast<int32_t>(std::min<int64_t>(
-                  max_keys * n * 256 / total_keys, 65535))
-            : 256;
+    // Global group estimate from the unioned keys: every node's merge
+    // table owns ~1/N of it, which sizes the merge-side radix decision.
     const int64_t est_global = EstimateGroupsFromSample(
         total_sample, static_cast<int64_t>(all_keys.size()),
         static_cast<int64_t>(n) * part->num_tuples());
-    MergeDecisionInputs inputs;
-    inputs.est_groups = est_global;
-    inputs.num_nodes = n;
-    inputs.skew_q8 = skew_q8;
-    inputs.inproc = ctx.shared_memory_transport();
-    inputs.use_repartitioning = use_repartitioning;
-    inputs.max_hash_entries = ctx.max_hash_entries();
-    inputs.slot_bytes = spec.key_width() + spec.state_width();
-    inputs.radix_llc_bytes = ctx.options().radix_llc_bytes;
-    const MergeDecision md = DecideMergeTopology(inputs);
 
     Message decision;
     decision.type = MessageType::kControl;
     decision.phase = kPhaseSample;
     decision.payload.assign(kDecisionBytes, 0);
     decision.payload[0] = use_repartitioning ? uint8_t{1} : uint8_t{0};
-    decision.payload[1] = static_cast<uint8_t>(md.topology);
-    decision.payload[2] = static_cast<uint8_t>(md.skew_q8 & 0xff);
-    decision.payload[3] = static_cast<uint8_t>((md.skew_q8 >> 8) & 0xff);
     for (int i = 0; i < 8; ++i) {
-      decision.payload[static_cast<size_t>(4 + i)] = static_cast<uint8_t>(
-          static_cast<uint64_t>(md.est_groups) >> (8 * i));
+      decision.payload[static_cast<size_t>(1 + i)] = static_cast<uint8_t>(
+          static_cast<uint64_t>(est_global) >> (8 * i));
     }
     decision.charged_bytes = 1;  // the historical 1-byte decision charge
     ADAPTAGG_RETURN_IF_ERROR(Broadcast(&ctx, decision));
@@ -226,21 +193,16 @@ Result<bool> DecideBySampling(NodeContext& ctx) {
                               std::to_string(msg.from));
     }
     if (msg.type == MessageType::kControl && msg.phase == kPhaseSample) {
-      if (msg.payload.size() != kDecisionBytes ||
-          msg.payload[1] > static_cast<uint8_t>(MergeTopology::kShared)) {
+      if (msg.payload.size() != kDecisionBytes) {
         return Status::Internal("bad sampling decision payload");
       }
-      const MergeTopology topology =
-          static_cast<MergeTopology>(msg.payload[1]);
-      const int32_t skew_q8 = static_cast<int32_t>(msg.payload[2]) |
-                              (static_cast<int32_t>(msg.payload[3]) << 8);
       uint64_t est = 0;
       for (int i = 0; i < 8; ++i) {
         est |= static_cast<uint64_t>(
-                   msg.payload[static_cast<size_t>(4 + i)])
+                   msg.payload[static_cast<size_t>(1 + i)])
                << (8 * i);
       }
-      ctx.set_sampled_merge(topology, static_cast<int64_t>(est), skew_q8);
+      ctx.set_estimated_global_groups(static_cast<int64_t>(est));
       for (Message& m : pending) {
         ctx.Stash(std::move(m));
       }

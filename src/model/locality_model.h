@@ -5,8 +5,9 @@
 
 namespace adaptagg {
 
-/// Policy for cache-sized radix pre-partitioning of local aggregation
-/// (the third adaptive decision, after the paper's two): hash-direct
+/// Policy for cache-sized radix pre-partitioning of the scan-side and
+/// merge-side aggregation tables (the third adaptive decision, after
+/// the paper's two; one mode governs both sides): hash-direct
 /// keeps upserting straight into the table; radix-partitioned scatters
 /// batches into per-partition staging first so each partition aggregates
 /// L2-resident.
@@ -38,7 +39,7 @@ inline constexpr int64_t kDefaultL2Bytes = int64_t{2} << 20;
 /// L3-resident tables and only broke even past LLC scale.
 inline constexpr int64_t kDefaultLlcBytes = int64_t{32} << 20;
 
-/// Decides hash-direct vs radix-partitioned for a local aggregation
+/// Decides hash-direct vs radix-partitioned for an aggregation
 /// expected to hold `est_groups` groups of `slot_bytes` each in a table
 /// bounded by `max_entries`. Auto engages only when the estimated
 /// working set (slots + their bucket-index share) exceeds `llc_bytes`

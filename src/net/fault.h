@@ -160,7 +160,6 @@ class FaultyTransport : public Transport {
   uint64_t frames_rejected() const override {
     return inner_->frames_rejected();
   }
-  bool shared_memory() const override { return inner_->shared_memory(); }
   void SimulateFailStop() override { dead_ = true; }
 
  private:

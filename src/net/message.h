@@ -32,14 +32,6 @@ enum class MessageType : uint8_t {
 
 std::string MessageTypeToString(MessageType type);
 
-/// Sentinel for Message::charged_bytes marking a frame as cost-exempt:
-/// the network model charges zero pages for it regardless of payload
-/// size. Used by the non-seed merge topologies (DESIGN.md §12), whose
-/// reduction/scatter traffic replaces work the cost model already
-/// charged through the phantom seed-stream accounting — charging the
-/// real frames too would double-count.
-inline constexpr uint32_t kExemptChargedBytes = 0xffffffffu;
-
 /// Upper bound on one serialized frame (length word excluded): far above
 /// any message-page size the engine produces, far below what a corrupt
 /// length prefix could demand. Enforced by Deserialize and by the TCP

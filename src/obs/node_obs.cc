@@ -57,7 +57,6 @@ NodeObs::NodeObs(int node_id, const ObsConfig& config,
   core_result_rows = registry_.counter("core.result_rows");
   core_rows_filtered_by_having =
       registry_.counter("core.rows_filtered_by_having");
-  core_merge_topology = registry_.gauge("core.merge_topology");
 
   agg_spill_records = registry_.counter("agg.spill.records");
   agg_spill_pages_written = registry_.counter("agg.spill.pages_written");

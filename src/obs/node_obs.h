@@ -94,10 +94,6 @@ class NodeObs {
   Counter core_switches;
   Counter core_result_rows;
   Counter core_rows_filtered_by_having;
-  /// Resolved final-merge topology (MergeTopology enum value). Every
-  /// node resolves identically, so the max-merge across shards is the
-  /// run's topology; 0 (= seed) doubles as "never resolved".
-  Gauge core_merge_topology;
 
   // Aggregation: spilling.
   Counter agg_spill_records;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "agg/hash_table.h"
 #include "cluster/recovery.h"
 #include "common/simd.h"
 #include "core/algorithm.h"
@@ -81,9 +80,6 @@ struct ClusterService::Session {
   std::vector<std::unique_ptr<HeapFile>> partitions;
   std::unique_ptr<NetworkModel> net;
   std::unique_ptr<GatherSink> gathered;
-  /// Session-private shared merge arena (the shared topology's
-  /// concurrent table); rebuilt per attempt like the other plane state.
-  std::unique_ptr<SharedMergeArena> merge_arena;
   std::vector<std::unique_ptr<NodeContext>> contexts;
   std::vector<Status> statuses;
   std::unique_ptr<FailureFanout> fanout;
@@ -396,7 +392,6 @@ void ClusterService::StartAttempt(Session* s) {
 
   s->net = std::make_unique<NetworkModel>(config_.params);
   s->gathered = std::make_unique<GatherSink>();
-  s->merge_arena = std::make_unique<SharedMergeArena>();
   s->fanout = std::make_unique<FailureFanout>();
   // One wall epoch per attempt, as in Cluster::Run, so its nodes' trace
   // wall timelines share an origin.
@@ -417,7 +412,6 @@ void ClusterService::StartAttempt(Session* s) {
         s->transports[static_cast<size_t>(i)].get(), s->net.get(),
         wall_epoch_s));
     s->contexts.back()->SetGather(s->gathered.get());
-    s->contexts.back()->SetMergeArena(s->merge_arena.get());
     if (s->recovery != nullptr) {
       s->contexts.back()->SetRecovery(&s->recovery->node(i));
     }

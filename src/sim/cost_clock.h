@@ -10,8 +10,11 @@ namespace adaptagg {
 /// Per-node simulated clock. The engine executes aggregation for real (on
 /// real tuples) but *time* is modeled: every operation charges its Table 1
 /// cost onto the node's clock, mirroring the paper's "no overlap between
-/// CPU, I/O and message passing" assumption. Message causality is kept by
-/// advancing the receiver to at least the sender's departure time.
+/// CPU, I/O and message passing" assumption. Receiving a message charges
+/// only its protocol CPU: the receiver is deliberately *not* advanced to
+/// the sender's departure time (NetworkModel::OnReceive, DESIGN.md §3),
+/// so a node's modeled time never depends on message arrival order or
+/// host thread scheduling.
 ///
 /// Single-owner by construction: only the owning node's thread charges
 /// or reads it during a run, and Cluster::Run reads the totals after

@@ -20,11 +20,16 @@ struct Fixture {
   AggregationSpec spec;
 };
 
-Result<Fixture> MakeFixture(int nodes, int64_t tuples, int64_t groups) {
+Result<Fixture> MakeFixture(int nodes, int64_t tuples, int64_t groups,
+                            double zipf_theta = 0.0) {
   WorkloadSpec wspec;
   wspec.num_nodes = nodes;
   wspec.num_tuples = tuples;
   wspec.num_groups = groups;
+  if (zipf_theta > 0) {
+    wspec.distribution = GroupDistribution::kZipf;
+    wspec.zipf_theta = zipf_theta;
+  }
   ADAPTAGG_ASSIGN_OR_RETURN(PartitionedRelation rel,
                             GenerateRelation(wspec));
   ADAPTAGG_ASSIGN_OR_RETURN(AggregationSpec spec,
@@ -157,6 +162,39 @@ TEST(RadixWiring, RepartitioningBodyEngagesGlobalTable) {
   ASSERT_OK(run.status);
   EXPECT_TRUE(ResultSetsEqual(run.results, expected));
   EXPECT_EQ(CountInstants(run, "radix.engage.global"), 2);
+}
+
+TEST(RadixWiring, SamplingMergeSideStagingHonorsRadixMode) {
+  // Zipf-skewed groups under a 64 KiB LLC budget. Sampling estimates
+  // ~10.2k global groups and ~4.7k per node: the global estimate / N
+  // (~2.5k groups, ~92 KB) busts the budget while the local estimate / N
+  // (~1.2k, ~42 KB) would not, so kAuto must engage the merge-side
+  // table on every node off the global estimate — and kOff must engage
+  // nothing, merge side included.
+  constexpr int kNodes = 4;
+  ASSERT_OK_AND_ASSIGN(Fixture f,
+                       MakeFixture(kNodes, 40'000, 20'000, /*zipf=*/0.9));
+  ASSERT_OK_AND_ASSIGN(ResultSet expected,
+                       ReferenceAggregate(f.spec, f.rel));
+  Cluster cluster(SmallClusterParams(kNodes, 40'000, /*max=*/16'384));
+  for (RadixMode mode : {RadixMode::kAuto, RadixMode::kOff}) {
+    SCOPED_TRACE(mode == RadixMode::kAuto ? "auto" : "off");
+    AlgorithmOptions opts;
+    opts.obs.traces = true;
+    opts.radix_mode = mode;
+    opts.radix_llc_bytes = 64 * 1024;
+    opts.crossover_threshold = 1'000'000;  // keep the two-phase body
+    opts.gather_results = true;
+    RunResult run = cluster.Run(*MakeAlgorithm(AlgorithmKind::kSampling),
+                                f.spec, f.rel, opts);
+    ASSERT_OK(run.status);
+    EXPECT_TRUE(ResultSetsEqual(run.results, expected));
+    EXPECT_EQ(CountInstants(run, "radix.engage.global"),
+              mode == RadixMode::kAuto ? kNodes : 0);
+    if (mode == RadixMode::kOff) {
+      EXPECT_EQ(CountInstants(run, "radix.engage.local"), 0);
+    }
+  }
 }
 
 }  // namespace

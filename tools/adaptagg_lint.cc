@@ -67,13 +67,6 @@
 //       checkpoint durability invariants (tail CRC, latest-pointer
 //       flip ordering, dedicated disks) have exactly one enforcement
 //       point.
-//   S14 the shared merge table's concurrent upsert surface is confined
-//       to its module: no `SharedAggHashTable` / `UpsertPartialConcurrent`
-//       token in src/ outside src/agg/hash_table.* (the table) and
-//       src/core/merge_topology.* (the merge plane that owns it). The
-//       CAS claim/publish protocol and stripe-lock discipline have
-//       exactly one enforcement point; everything else reaches the
-//       shared topology through MergePlane.
 //   D1  no wall-clock reads in src/ (steady_clock / system_clock /
 //       WallSeconds / ...): simulated results must depend only on the
 //       CostClock. Wall time is allowlisted exactly where it belongs —
@@ -680,33 +673,6 @@ void CheckNoCheckpointIo(const std::string& rel,
   }
 }
 
-/// S14: the shared merge table's concurrent surface outside its module.
-/// UpsertPartialConcurrent's CAS claim/publish protocol and the stripe
-/// locks behind it are correct only under the merge plane's barrier
-/// discipline (quiesce before any drain); a second direct user would
-/// have to re-implement that discipline. Detection: the type or method
-/// token anywhere in src/ outside the table and the merge plane.
-bool SharedMergeAllowed(const std::string& rel) {
-  return rel.rfind("src/agg/hash_table.", 0) == 0 ||
-         rel.rfind("src/core/merge_topology.", 0) == 0;
-}
-
-void CheckNoSharedMergeEscape(const std::string& rel,
-                              const std::vector<std::string>& stripped) {
-  for (size_t i = 0; i < stripped.size(); ++i) {
-    for (const char* token :
-         {"SharedAggHashTable", "UpsertPartialConcurrent"}) {
-      if (HasToken(stripped[i], token)) {
-        Report(rel, static_cast<int>(i) + 1, "S14",
-               std::string(token) +
-                   " outside the shared-merge module — go through "
-                   "MergePlane so the concurrent upsert protocol has "
-                   "one enforcement point");
-      }
-    }
-  }
-}
-
 /// S9: scalar data-plane calls outside the batch layer. The tokens are
 /// exact — AddBatch / AddIndices / AddProjectedBatch / AddPartialBatch
 /// are distinct identifiers and stay legal everywhere. The allowlist is
@@ -716,8 +682,8 @@ void CheckNoSharedMergeEscape(const std::string& rel,
 bool ScalarDataPlaneAllowed(const std::string& rel) {
   return rel.rfind("src/agg/", 0) == 0 ||
          rel.rfind("src/cluster/exchange", 0) == 0 ||
-         rel.rfind("src/core/merge_topology.", 0) == 0 ||
-         rel == "src/core/phases.h" || rel == "src/core/sampling.cc" ||
+         rel == "src/core/phases.h" || rel == "src/core/phases.cc" ||
+         rel == "src/core/sampling.cc" ||
          rel == "src/core/sort_two_phase.cc";
 }
 
@@ -1098,9 +1064,6 @@ int main(int argc, char** argv) {
       }
       if (!CheckpointIoAllowed(f.rel)) {
         CheckNoCheckpointIo(f.rel, f.stripped_lines);
-      }
-      if (!SharedMergeAllowed(f.rel)) {
-        CheckNoSharedMergeEscape(f.rel, f.stripped_lines);
       }
       if (f.rel != "src/common/simd.h") {
         CheckNoRawIntrinsics(f.rel, f.stripped_lines);
