@@ -89,51 +89,30 @@ Status SpillingAggregator::AddPartial(const uint8_t* partial) {
 Status SpillingAggregator::AddProjectedBatch(const TupleBatch& batch) {
   overflow_scratch_.clear();
   table_.UpsertProjectedBatchOverflow(batch, 0, overflow_scratch_);
-  for (int idx : overflow_scratch_) {
-    ADAPTAGG_RETURN_IF_ERROR(EnsureBuckets());
-    ++stats_.overflow_records;
-    ADAPTAGG_RETURN_IF_ERROR(
-        buckets_[static_cast<size_t>(BucketOf(batch.hash(idx)))]->Append(
-            SpillTag::kRaw, batch.record(idx)));
-  }
-  if (table_.radix_partitioning()) return DrainTableOverflow();
-  return Status::OK();
+  return SpillBatchOverflow(SpillTag::kRaw, batch);
 }
 
 Status SpillingAggregator::AddPartialBatch(const TupleBatch& batch) {
   overflow_scratch_.clear();
   table_.UpsertPartialBatchOverflow(batch, 0, overflow_scratch_);
+  return SpillBatchOverflow(SpillTag::kPartial, batch);
+}
+
+Status SpillingAggregator::SpillBatchOverflow(SpillTag tag,
+                                              const TupleBatch& batch) {
   for (int idx : overflow_scratch_) {
     ADAPTAGG_RETURN_IF_ERROR(EnsureBuckets());
     ++stats_.overflow_records;
     ADAPTAGG_RETURN_IF_ERROR(
         buckets_[static_cast<size_t>(BucketOf(batch.hash(idx)))]->Append(
-            SpillTag::kPartial, batch.record(idx)));
+            tag, batch.record(idx)));
   }
-  if (table_.radix_partitioning()) return DrainTableOverflow();
   return Status::OK();
-}
-
-void SpillingAggregator::EnableRadixPartitioning(int partitions) {
-  ADAPTAGG_CHECK(!finished_) << "EnableRadixPartitioning after Finish()";
-  table_.EnableRadixPartitioning(partitions);
-}
-
-Status SpillingAggregator::DrainTableOverflow() {
-  return table_.DrainRadixOverflow(
-      [&](bool partial, uint64_t hash, const uint8_t* rec) -> Status {
-        ADAPTAGG_RETURN_IF_ERROR(EnsureBuckets());
-        ++stats_.overflow_records;
-        return buckets_[static_cast<size_t>(BucketOf(hash))]->Append(
-            partial ? SpillTag::kPartial : SpillTag::kRaw, rec);
-      });
 }
 
 bool SpillingAggregator::Snapshot(std::vector<uint8_t>* out) const {
   out->clear();
-  if (finished_ || has_spilled() || table_.radix_partitioning()) {
-    return false;
-  }
+  if (finished_ || has_spilled()) return false;
   const size_t key_width = static_cast<size_t>(spec_->key_width());
   const size_t state_width = static_cast<size_t>(spec_->state_width());
   out->reserve(static_cast<size_t>(table_.size()) *
@@ -149,10 +128,6 @@ Status SpillingAggregator::RestoreFrom(const uint8_t* data, size_t size) {
   if (finished_ || has_spilled() || table_.size() != 0) {
     return Status::FailedPrecondition(
         "checkpoint restore requires a fresh aggregator");
-  }
-  if (table_.radix_partitioning()) {
-    return Status::FailedPrecondition(
-        "checkpoint restore is incompatible with radix pre-partitioning");
   }
   const size_t width = static_cast<size_t>(spec_->partial_width());
   if (width == 0 || size % width != 0) {
@@ -170,10 +145,6 @@ Status SpillingAggregator::Finish(const EmitFn& emit) {
   ADAPTAGG_CHECK(!finished_) << "Finish() called twice";
   finished_ = true;
 
-  if (table_.radix_partitioning()) {
-    table_.FlushRadixStaging();
-    ADAPTAGG_RETURN_IF_ERROR(DrainTableOverflow());
-  }
   table_.ForEach(
       [&](const uint8_t* key, const uint8_t* state) { emit(key, state); });
   table_.Clear();

@@ -58,15 +58,6 @@ class SpillingAggregator {
   /// AddPartial on every record in order.
   Status AddPartialBatch(const TupleBatch& batch);
 
-  /// Switches the resident table to cache-sized radix pre-partitioning
-  /// with `partitions` partition regions (see
-  /// AggHashTable::EnableRadixPartitioning). Must run before any
-  /// records; batch adds then stage + drain L2-resident, Finish flushes,
-  /// and table overflow reaches the spill buckets through the staged
-  /// path — results stay byte-identical. Recursive children never
-  /// inherit the mode (their inputs are already one bucket's worth).
-  void EnableRadixPartitioning(int partitions);
-
   /// Emits all groups (table first, then recursive buckets) and releases
   /// the spill files.
   Status Finish(const EmitFn& emit);
@@ -75,14 +66,14 @@ class SpillingAggregator {
   /// spec->partial_width() bytes each, in the table's deterministic emit
   /// order) into `out` for checkpointing. Returns false — leaving `out`
   /// empty — when the state is not snapshottable: records already spilled
-  /// to disk, radix pre-partitioning staged records outside the table, or
-  /// Finish() already ran. Callers then simply skip this checkpoint.
+  /// to disk, or Finish() already ran. Callers then simply skip this
+  /// checkpoint.
   bool Snapshot(std::vector<uint8_t>* out) const;
 
   /// Rebuilds the resident table from a Snapshot() byte stream by
   /// re-upserting every partial record in its original order, so the
   /// restored table's emit order — and thus all downstream pagination —
-  /// matches the table that was snapshotted. Requires an empty, non-radix
+  /// matches the table that was snapshotted. Requires an empty
   /// aggregator.
   Status RestoreFrom(const uint8_t* data, size_t size);
 
@@ -113,10 +104,9 @@ class SpillingAggregator {
   Status EnsureBuckets();
   int BucketOf(uint64_t hash) const;
 
-  /// Routes records the radix table refused (drained from its pending
-  /// buffer) to the spill buckets, exactly like the non-radix overflow
-  /// loop.
-  Status DrainTableOverflow();
+  /// Spills the batch records the table refused (overflow_scratch_, as
+  /// batch indices) to their buckets, tagged `tag`.
+  Status SpillBatchOverflow(SpillTag tag, const TupleBatch& batch);
 
   const AggregationSpec* spec_;
   Disk* disk_;

@@ -13,7 +13,6 @@
 #include "cluster/gather_sink.h"
 #include "exec/expression.h"
 #include "exec/operator.h"
-#include "model/locality_model.h"
 #include "net/fault.h"
 #include "net/network_model.h"
 #include "net/transport.h"
@@ -66,21 +65,6 @@ struct AlgorithmOptions {
   int64_t init_seg = 10'000;
   /// "Too few groups" bound at decision time (-1: crossover threshold).
   int64_t few_groups_threshold = -1;
-
-  // --- Radix pre-partitioning of the aggregation tables ---
-  /// Hash-direct vs cache-sized radix-partitioned batch aggregation
-  /// (model/locality_model.h), for the scan-side and merge-side tables
-  /// alike. kAuto engages a table when the sampling phase's group
-  /// estimate says its working set exceeds the last-level-cache budget;
-  /// kOn/kOff force the choice. Wall-clock-only: never changes modeled
-  /// costs or emitted results.
-  RadixMode radix_mode = RadixMode::kAuto;
-  /// L2 partition-region budget in bytes (-1: model default, 2 MiB).
-  int64_t radix_l2_bytes = -1;
-  /// Last-level-cache budget in bytes gating kAuto engagement (-1:
-  /// model default, 32 MiB — see locality_model.h for the measured
-  /// rationale).
-  int64_t radix_llc_bytes = -1;
 
   /// Caller-supplied global distinct-group estimate (0: unknown). Feeds
   /// only the serving layer's admission memory estimate; the engine's
@@ -188,23 +172,6 @@ class NodeContext {
   int64_t max_hash_entries() const;
   int64_t crossover_threshold() const;
   int64_t few_groups_threshold() const;
-
-  /// Sampling-phase group estimates (0 = no estimate yet), read by the
-  /// phase bodies' radix pre-partitioning decisions. The local one is
-  /// this node's own distinct-group count and sizes its scan-side table;
-  /// the global one is the coordinator's cluster-wide estimate, received
-  /// with the sampling decision so every node agrees on it, and ÷ N
-  /// sizes each node's share of the key-hash-partitioned merge table.
-  int64_t estimated_local_groups() const { return estimated_local_groups_; }
-  void set_estimated_local_groups(int64_t groups) {
-    estimated_local_groups_ = groups;
-  }
-  int64_t estimated_global_groups() const {
-    return estimated_global_groups_;
-  }
-  void set_estimated_global_groups(int64_t groups) {
-    estimated_global_groups_ = groups;
-  }
 
   HeapFile* local_partition() { return local_partition_; }
   Disk* disk() { return disk_; }
@@ -351,8 +318,6 @@ class NodeContext {
 
   CostClock clock_;
   NodeRunStats stats_;
-  int64_t estimated_local_groups_ = 0;
-  int64_t estimated_global_groups_ = 0;
   std::unique_ptr<NodeObs> obs_;
   PagePool page_pool_;
   DiskStats last_disk_;

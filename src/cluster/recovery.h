@@ -60,7 +60,7 @@ class RecoveryNode {
   void WriteCheckpoint(NodeContext& ctx, const CheckpointState& state);
 
   /// Counts a checkpoint opportunity skipped because the aggregation
-  /// state was not snapshottable (spilled or radix-staged).
+  /// state was not snapshottable (spilled to disk).
   void CountSkipped(NodeContext& ctx);
 
  private:

@@ -9,27 +9,6 @@
 namespace adaptagg {
 namespace {
 
-/// Applies the locality model's radix decision to one aggregator before
-/// it sees any records. `role` names the aggregation for the trace
-/// ("local": the scan-phase table; "global": the merge-phase table) and
-/// `est_groups` is the expected group count for it — 0 (no sampling
-/// estimate) leaves kAuto disengaged. Wall-clock-only: the choice never
-/// touches the cost clock, so simulated results are unchanged either
-/// way.
-void MaybeEnableRadix(NodeContext& ctx, SpillingAggregator& agg,
-                      const char* role, int64_t est_groups) {
-  const RadixDecision d = DecideRadixPartitioning(
-      ctx.options().radix_mode, est_groups, ctx.max_hash_entries(),
-      ctx.spec().key_width() + ctx.spec().state_width(),
-      ctx.options().radix_l2_bytes, ctx.options().radix_llc_bytes);
-  if (!d.engage) return;
-  agg.EnableRadixPartitioning(d.partitions);
-  ctx.obs().RecordDecision(std::string("radix.engage.") + role,
-                           {{"partitions", d.partitions},
-                            {"est_groups", est_groups},
-                            {"working_set_bytes", d.working_set_bytes}});
-}
-
 /// Packs one finished group into `rec` as a partial record and routes
 /// it to dest(key hash), charging t_w.
 Status SendPartial(NodeContext& ctx, Exchange& ex, const PartialDestFn& dest,
@@ -242,11 +221,6 @@ Status RunTwoPhaseBody(NodeContext& ctx) {
   SpillingAggregator global(&spec, ctx.disk(), ctx.max_hash_entries(),
                             ctx.options().spill_fanout,
                             "g2p_n" + std::to_string(ctx.node_id()));
-  if (restore == nullptr) {
-    // Each node's merge table owns ~1/n of the groups routed by key hash.
-    MaybeEnableRadix(ctx, global, "global",
-                     ctx.estimated_global_groups() / std::max(n, 1));
-  }
   DataReceiver recv(&ctx, &global, n);
   Exchange ex(&ctx, MessageType::kPartialPage, spec.partial_width(),
               kPhaseData);
@@ -255,11 +229,7 @@ Status RunTwoPhaseBody(NodeContext& ctx) {
   SpillingAggregator local(&spec, ctx.disk(), ctx.max_hash_entries(),
                            ctx.options().spill_fanout,
                            "l2p_n" + std::to_string(ctx.node_id()));
-  if (restore == nullptr) {
-    MaybeEnableRadix(ctx, local, "local", ctx.estimated_local_groups());
-  } else {
-    // Radix staging is incompatible with restore (and is a wall-clock
-    // optimization only), so replay attempts run plain tables.
+  if (restore != nullptr) {
     ADAPTAGG_RETURN_IF_ERROR(global.RestoreFrom(
         restore->global_partials.data(), restore->global_partials.size()));
     ADAPTAGG_RETURN_IF_ERROR(local.RestoreFrom(
@@ -364,12 +334,6 @@ Status RunRepartitioningBody(NodeContext& ctx) {
   SpillingAggregator global(&spec, ctx.disk(), ctx.max_hash_entries(),
                             ctx.options().spill_fanout,
                             "grep_n" + std::to_string(ctx.node_id()));
-  if (restore == nullptr) {
-    // Repartitioning routes raw tuples by key hash, so this node's table
-    // holds ~1/n of the groups.
-    MaybeEnableRadix(ctx, global, "global",
-                     ctx.estimated_global_groups() / std::max(n, 1));
-  }
   DataReceiver recv(&ctx, &global, n);
   if (restore != nullptr) {
     ADAPTAGG_RETURN_IF_ERROR(global.RestoreFrom(

@@ -5,18 +5,14 @@
 #include "common/random.h"
 #include "core/algorithm.h"
 #include "core/phases.h"
-#include "model/locality_model.h"
 #include "model/sampling_model.h"
 
 namespace adaptagg {
 namespace internal_core {
 namespace {
 
-/// Decision broadcast payload: [u8 use_repartitioning][u64 estimated
-/// global groups, LE]. The message's charged_bytes pins the modeled
-/// network charge to the historical 1-byte decision, so the estimate
-/// rides free on the cost model.
-constexpr size_t kDecisionBytes = 9;
+/// Decision broadcast payload: [u8 use_repartitioning].
+constexpr size_t kDecisionBytes = 1;
 
 /// Phase 0 of the Sampling algorithm: page-oriented random sampling on
 /// every node, distinct keys unioned at the coordinator, decision
@@ -87,13 +83,6 @@ Result<bool> DecideBySampling(NodeContext& ctx) {
     }
   }
 
-  // Invert the sample into a per-node group estimate for the locality
-  // model: radix pre-partitioning engages when the estimated working
-  // set exceeds L2. Free — the sample was already paid for above.
-  ctx.set_estimated_local_groups(EstimateGroupsFromSample(
-      sampled, static_cast<int64_t>(local_keys.size()),
-      part->num_tuples()));
-
   // Ship the locally observed distinct keys to the coordinator in
   // sorted order: iterating the unordered set directly would make the
   // wire bytes depend on the standard library's hash layout (lint D3).
@@ -159,22 +148,11 @@ Result<bool> DecideBySampling(NodeContext& ctx) {
     bool use_repartitioning =
         static_cast<int64_t>(all_keys.size()) >= threshold;
 
-    // Global group estimate from the unioned keys: every node's merge
-    // table owns ~1/N of it, which sizes the merge-side radix decision.
-    const int64_t est_global = EstimateGroupsFromSample(
-        total_sample, static_cast<int64_t>(all_keys.size()),
-        static_cast<int64_t>(n) * part->num_tuples());
-
     Message decision;
     decision.type = MessageType::kControl;
     decision.phase = kPhaseSample;
-    decision.payload.assign(kDecisionBytes, 0);
-    decision.payload[0] = use_repartitioning ? uint8_t{1} : uint8_t{0};
-    for (int i = 0; i < 8; ++i) {
-      decision.payload[static_cast<size_t>(1 + i)] = static_cast<uint8_t>(
-          static_cast<uint64_t>(est_global) >> (8 * i));
-    }
-    decision.charged_bytes = 1;  // the historical 1-byte decision charge
+    decision.payload.assign(kDecisionBytes,
+                            use_repartitioning ? uint8_t{1} : uint8_t{0});
     ADAPTAGG_RETURN_IF_ERROR(Broadcast(&ctx, decision));
   }
 
@@ -196,13 +174,6 @@ Result<bool> DecideBySampling(NodeContext& ctx) {
       if (msg.payload.size() != kDecisionBytes) {
         return Status::Internal("bad sampling decision payload");
       }
-      uint64_t est = 0;
-      for (int i = 0; i < 8; ++i) {
-        est |= static_cast<uint64_t>(
-                   msg.payload[static_cast<size_t>(1 + i)])
-               << (8 * i);
-      }
-      ctx.set_estimated_global_groups(static_cast<int64_t>(est));
       for (Message& m : pending) {
         ctx.Stash(std::move(m));
       }

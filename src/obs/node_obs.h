@@ -55,10 +55,9 @@ class NodeObs {
                    std::vector<std::pair<std::string, int64_t>> args);
 
   /// Emits an instant trace event for a runtime tuning decision that is
-  /// not an algorithm switch (SIMD dispatch resolution, radix
-  /// pre-partitioning engagement): instant-only, no counter — these
-  /// change wall-clock behavior, never the simulated plan, and must not
-  /// perturb core.switches.
+  /// not an algorithm switch (SIMD dispatch resolution): instant-only,
+  /// no counter — these change wall-clock behavior, never the simulated
+  /// plan, and must not perturb core.switches.
   void RecordDecision(const std::string& name,
                       std::vector<std::pair<std::string, int64_t>> args);
 
@@ -135,7 +134,7 @@ class NodeObs {
   /// Checkpoint writes that failed on disk (previous checkpoint kept).
   Counter recovery_checkpoint_failures;
   /// Checkpoint opportunities skipped because the aggregation state was
-  /// not snapshottable (spilled to disk or radix-staged).
+  /// not snapshottable (spilled to disk).
   Counter recovery_checkpoints_skipped;
   /// Checkpoints that failed verification on load — torn or corrupted —
   /// forcing this node to replay from scratch instead.

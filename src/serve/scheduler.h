@@ -29,7 +29,7 @@ struct SchedulerConfig {
 /// the same accounting AggHashTable::MemoryBytes reports at runtime:
 /// every node may fill its hash-table bound M with slots of
 /// partial_width bytes plus the bucket index (16 bytes of overhead per
-/// entry covers the bucket word and radix staging amortized). Two
+/// entry: the bucket word at <= 70% load, rounded up). Two
 /// tables can be live per node (local phase + merge receiver), hence
 /// the factor 2. Deliberately pessimistic: admission reserves for the
 /// worst case, the common case releases early.

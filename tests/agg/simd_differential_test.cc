@@ -130,7 +130,7 @@ std::vector<uint8_t> MakeRows(const Schema& schema, int n, int groups) {
 /// returns the emitted (key, state) byte stream in emit order.
 std::vector<uint8_t> RunProjected(const AggregationSpec& spec,
                                   const std::vector<uint8_t>& rows, int n,
-                                  int64_t max_entries, int radix) {
+                                  int64_t max_entries) {
   const Schema& schema = spec.input_schema();
   const int pw = spec.projected_width();
   std::vector<uint8_t> projected(static_cast<size_t>(n) * pw);
@@ -142,7 +142,6 @@ std::vector<uint8_t> RunProjected(const AggregationSpec& spec,
 
   SimDisk disk(1024);
   SpillingAggregator agg(&spec, &disk, max_entries, /*fanout=*/4, "diff");
-  if (radix > 0) agg.EnableRadixPartitioning(radix);
   TupleBatch batch(&spec);
   const int sizes[] = {1, kBatchWidth - 1, kBatchWidth};
   int off = 0;
@@ -172,7 +171,7 @@ std::vector<uint8_t> RunProjected(const AggregationSpec& spec,
 /// fused add / min-max merges) do all the work.
 std::vector<uint8_t> RunPartials(const AggregationSpec& spec,
                                  const std::vector<uint8_t>& rows, int n,
-                                 int64_t max_entries, int radix) {
+                                 int64_t max_entries) {
   const Schema& schema = spec.input_schema();
   const int pw = spec.projected_width();
   const int kw = spec.key_width();
@@ -191,7 +190,6 @@ std::vector<uint8_t> RunPartials(const AggregationSpec& spec,
 
   SimDisk disk(1024);
   SpillingAggregator agg(&spec, &disk, max_entries, /*fanout=*/4, "diffp");
-  if (radix > 0) agg.EnableRadixPartitioning(radix);
   TupleBatch batch(&spec);
   const int sizes[] = {kBatchWidth, 1, kBatchWidth - 1};
   int off = 0;
@@ -214,23 +212,6 @@ std::vector<uint8_t> RunPartials(const AggregationSpec& spec,
   });
   EXPECT_TRUE(st.ok()) << st.ToString();
   return out;
-}
-
-/// Splits an emitted byte stream into records and sorts them, for
-/// comparisons where emit *order* is legitimately different (a full
-/// table under forced radix refuses different keys than hash-direct, so
-/// only the final (key, state) multiset is invariant — which is exactly
-/// why the auto policy never engages radix when groups may overflow M).
-std::vector<std::vector<uint8_t>> SortedRecords(
-    const std::vector<uint8_t>& stream, size_t width) {
-  std::vector<std::vector<uint8_t>> recs;
-  EXPECT_EQ(width == 0 ? 0 : stream.size() % width, 0u);
-  for (size_t off = 0; off + width <= stream.size(); off += width) {
-    recs.emplace_back(stream.begin() + static_cast<int64_t>(off),
-                      stream.begin() + static_cast<int64_t>(off + width));
-  }
-  std::sort(recs.begin(), recs.end());
-  return recs;
 }
 
 AggregationSpec MakeCellSpec(const Schema* schema, const Cell& cell) {
@@ -257,10 +238,10 @@ TEST_F(SimdDifferentialTest, DispatchedMatchesForcedScalarInMemory) {
   for (const Cell& cell : Matrix()) {
     const AggregationSpec spec = MakeCellSpec(&schema_, cell);
     const std::vector<uint8_t> vec =
-        RunProjected(spec, rows_, kRows, /*max_entries=*/100'000, 0);
+        RunProjected(spec, rows_, kRows, /*max_entries=*/100'000);
     ScopedForceScalar force;
     const std::vector<uint8_t> sca =
-        RunProjected(spec, rows_, kRows, /*max_entries=*/100'000, 0);
+        RunProjected(spec, rows_, kRows, /*max_entries=*/100'000);
     EXPECT_EQ(vec, sca) << cell.name;
   }
 }
@@ -271,10 +252,10 @@ TEST_F(SimdDifferentialTest, DispatchedMatchesForcedScalarWithSpill) {
   for (const Cell& cell : Matrix()) {
     const AggregationSpec spec = MakeCellSpec(&schema_, cell);
     const std::vector<uint8_t> vec =
-        RunProjected(spec, rows_, kRows, /*max_entries=*/64, 0);
+        RunProjected(spec, rows_, kRows, /*max_entries=*/64);
     ScopedForceScalar force;
     const std::vector<uint8_t> sca =
-        RunProjected(spec, rows_, kRows, /*max_entries=*/64, 0);
+        RunProjected(spec, rows_, kRows, /*max_entries=*/64);
     EXPECT_EQ(vec, sca) << cell.name;
   }
 }
@@ -283,78 +264,12 @@ TEST_F(SimdDifferentialTest, PartialMergePathMatchesForcedScalar) {
   for (const Cell& cell : Matrix()) {
     const AggregationSpec spec = MakeCellSpec(&schema_, cell);
     const std::vector<uint8_t> vec =
-        RunPartials(spec, rows_, kRows, /*max_entries=*/100'000, 0);
+        RunPartials(spec, rows_, kRows, /*max_entries=*/100'000);
     ScopedForceScalar force;
     const std::vector<uint8_t> sca =
-        RunPartials(spec, rows_, kRows, /*max_entries=*/100'000, 0);
+        RunPartials(spec, rows_, kRows, /*max_entries=*/100'000);
     EXPECT_EQ(vec, sca) << cell.name;
   }
-}
-
-TEST_F(SimdDifferentialTest, RadixOnMatchesRadixOffBitIdentically) {
-  // When the groups fit the table — the only regime the auto policy
-  // engages in — radix pre-partitioning reorders the physical upserts
-  // but must not change a single emitted byte.
-  for (const Cell& cell : Matrix()) {
-    const AggregationSpec spec = MakeCellSpec(&schema_, cell);
-    const std::vector<uint8_t> off =
-        RunProjected(spec, rows_, kRows, /*max_entries=*/100'000, 0);
-    for (int partitions : {2, 8}) {
-      const std::vector<uint8_t> on =
-          RunProjected(spec, rows_, kRows, /*max_entries=*/100'000,
-                       partitions);
-      EXPECT_EQ(off, on) << cell.name << " P=" << partitions;
-    }
-  }
-}
-
-TEST_F(SimdDifferentialTest, RadixOverflowPreservesResultMultiset) {
-  // Forced radix on a table too small for the groups: which keys win
-  // slots differs from hash-direct (partition drain order vs arrival
-  // order), but the final (key, state) multiset must be identical.
-  for (const Cell& cell : Matrix()) {
-    const AggregationSpec spec = MakeCellSpec(&schema_, cell);
-    const size_t width =
-        static_cast<size_t>(spec.key_width() + spec.state_width());
-    const std::vector<uint8_t> off =
-        RunProjected(spec, rows_, kRows, /*max_entries=*/64, 0);
-    const std::vector<uint8_t> on =
-        RunProjected(spec, rows_, kRows, /*max_entries=*/64, 8);
-    EXPECT_EQ(SortedRecords(off, width), SortedRecords(on, width))
-        << cell.name;
-  }
-}
-
-TEST_F(SimdDifferentialTest, RadixPartialMergeMatchesRadixOff) {
-  for (const Cell& cell : Matrix()) {
-    const AggregationSpec spec = MakeCellSpec(&schema_, cell);
-    const std::vector<uint8_t> off =
-        RunPartials(spec, rows_, kRows, /*max_entries=*/100'000, 0);
-    const std::vector<uint8_t> on =
-        RunPartials(spec, rows_, kRows, /*max_entries=*/100'000, 4);
-    EXPECT_EQ(off, on) << cell.name;
-  }
-}
-
-TEST_F(SimdDifferentialTest, ScalarRadixCrossProduct) {
-  // The two features compose: a forced-scalar radix run must equal the
-  // dispatched hash-direct baseline byte for byte when groups fit, and
-  // as a multiset through spill overflow.
-  const Cell cell = Matrix()[0];  // count+sum int64, 8-byte key
-  const AggregationSpec spec = MakeCellSpec(&schema_, cell);
-  const std::vector<uint8_t> base =
-      RunProjected(spec, rows_, kRows, /*max_entries=*/100'000, 0);
-  const std::vector<uint8_t> base_small =
-      RunProjected(spec, rows_, kRows, /*max_entries=*/64, 0);
-  ScopedForceScalar force;
-  EXPECT_EQ(base,
-            RunProjected(spec, rows_, kRows, /*max_entries=*/100'000, 8));
-  const size_t width =
-      static_cast<size_t>(spec.key_width() + spec.state_width());
-  EXPECT_EQ(SortedRecords(base_small, width),
-            SortedRecords(RunProjected(spec, rows_, kRows,
-                                       /*max_entries=*/64, 8),
-                          width));
 }
 
 }  // namespace

@@ -320,6 +320,18 @@ TEST(ChromeTrace, TracesOffByDefaultKeepsRunResultLean) {
   EXPECT_FALSE(run.metrics.empty());  // metrics still on by default
 }
 
+TEST(ChromeTrace, SimdDispatchInstantRecordedOncePerRun) {
+  RunResult run = TracedRun();
+  ASSERT_OK(run.status);
+  int dispatch_instants = 0;
+  for (const TraceEvent& e : run.trace_events) {
+    if (e.kind == TraceEvent::Kind::kInstant && e.name == "simd.dispatch") {
+      ++dispatch_instants;
+    }
+  }
+  EXPECT_EQ(dispatch_instants, 1);
+}
+
 #else
 
 TEST(ChromeTrace, DisabledBuildProducesNoEvents) {
