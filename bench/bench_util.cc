@@ -102,7 +102,6 @@ EngineRunOutcome RunEngine(Cluster& cluster, AlgorithmKind kind,
   const char* trace_dir = std::getenv("ADAPTAGG_TRACE_DIR");
   AlgorithmOptions opts = options;
   if (trace_dir != nullptr) {
-    opts.obs.spans = true;
     opts.obs.traces = true;
   }
   RunResult run = cluster.Run(*MakeAlgorithm(kind), spec, rel, opts);

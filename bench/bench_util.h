@@ -88,9 +88,10 @@ void PrintHeader(const std::string& figure, const std::string& description,
 
 /// Schema version stamped into every BENCH_*.json. Bump when the layout
 /// changes incompatibly. v2 added schema_version, bench_binary, and the
-/// embedded metrics object; v3 added cpu_dispatch (the resolved SIMD
-/// code path — "scalar" / "avx2" / "neon" — so wall-clock numbers are
-/// never compared across different kernels by accident).
+/// embedded metrics object; v3 added cpu_dispatch (the kernel code path,
+/// simd::DispatchName() — "scalar" since the kernels are portable C++ —
+/// so wall-clock numbers are never compared across different kernels by
+/// accident).
 inline constexpr int kBenchJsonSchemaVersion = 3;
 
 /// Collects benchmark points and writes them as `BENCH_<bench_id>.json`

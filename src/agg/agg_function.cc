@@ -22,8 +22,8 @@ void Store(uint8_t* p, T v) {
 
 /// Two's-complement wrapping add: SUM/COUNT/AVG accumulators must wrap
 /// on int64 overflow (sentinel extremes are legal inputs) with the same
-/// bit pattern the SIMD fused kernels produce, and a raw signed add
-/// would be undefined behavior instead.
+/// bit pattern the fused word kernels (common/simd.h) produce, and a
+/// raw signed add would be undefined behavior instead.
 int64_t WrapAdd(int64_t a, int64_t b) {
   return static_cast<int64_t>(static_cast<uint64_t>(a) +
                               static_cast<uint64_t>(b));

@@ -222,8 +222,7 @@ void AggregationSpec::HashKeys(const uint8_t* recs, int stride, int n,
                                uint64_t* out) const {
   if (key_width_ % 8 == 0) {
     // Word-at-a-time fast path: same FNV-1a word loop as HashBytes but
-    // with no byte tail. Dispatched through the SIMD layer (8 lanes on
-    // AVX2), bit-identical to the scalar loop by contract.
+    // with no byte tail (common/simd.h).
     simd::HashKeysFnvWords(recs, stride, key_width_ / 8, n,
                            kFnvBasis ^ kKeyHashSeed, kFnvPrime, out);
     return;

@@ -35,8 +35,8 @@ inline bool KeysEqual(const uint8_t* a, const uint8_t* b, int width,
 // one record into its slot's state; the fused ones hoist the per-op
 // dispatch of UpdateFromProjected/MergeState out of the probe loop and
 // must stay behaviorally identical to it (InitState has already
-// zeroed/initialized the state on insert). Their arithmetic runs through
-// the SIMD layer (common/simd.h), bit-identical to the scalar loops.
+// zeroed/initialized the state on insert). Their arithmetic is the word
+// kernels of common/simd.h.
 
 /// Interpreted raw-value fallback.
 struct GenericUpdate {
@@ -84,15 +84,13 @@ struct AddInt64Merge {
 
 /// All ops are MIN/MAX(int64): per-op [extremum:int64][seen:int64]
 /// blocks. Mirrors AggregateOp::MergePartial exactly: an unseen other is
-/// skipped, the extremum compare-stores, seen is set to 1. `merge` is
-/// the dispatched SIMD kernel, resolved once per batch.
+/// skipped, the extremum compare-stores, seen is set to 1.
 struct MinMaxInt64Merge {
   int key_width;
   const uint8_t* is_min;  // per-op flag, 1 = MIN
   int num_ops;
-  simd::MinMaxMergeFn merge;
   void operator()(uint8_t* state, const uint8_t* rec) const {
-    merge(state, rec + key_width, is_min, num_ops);
+    simd::MergeMinMaxInt64(state, rec + key_width, is_min, num_ops);
   }
 };
 
@@ -314,8 +312,7 @@ int AggHashTable::DispatchMergeBatch(const TupleBatch& batch, int from,
     case FusedMergeKind::kMinMaxInt64:
       return run(true,
                  MinMaxInt64Merge{key_width_, spec_->merge_is_min().data(),
-                                  static_cast<int>(spec_->ops().size()),
-                                  simd::ResolveMinMaxMerge()});
+                                  static_cast<int>(spec_->ops().size())});
     case FusedMergeKind::kDistinct:
       return run(true, DistinctUpdate{});
     case FusedMergeKind::kGeneric:

@@ -8,7 +8,6 @@
 #include "cluster/recovery.h"
 #include "cluster/run_assembly.h"
 #include "common/logging.h"
-#include "common/simd.h"
 #include "model/recovery_model.h"
 #include "net/fault.h"
 
@@ -116,14 +115,6 @@ RunResult Cluster::Run(const Algorithm& algo, const AggregationSpec& spec,
       }
     }
 
-    // Resolve the SIMD dispatch before any node thread touches a batch
-    // kernel and pin the outcome into the coordinator's trace: one
-    // instant per run, so a trace always says which code path produced
-    // it.
-    contexts.front()->obs().RecordDecision(
-        "simd.dispatch",
-        {{"kind", static_cast<int64_t>(simd::ActiveDispatch())},
-         {"forced_scalar", simd::ForcedScalar() ? 1 : 0}});
     if (recovery != nullptr) {
       // Wall-clock-only decision: recorded as an instant, charged to no
       // clock, so the modeled plan is identical with recovery on or off.

@@ -40,8 +40,7 @@ struct RunResult {
   std::vector<NodeRunStats> node_stats;
   /// Gathered final rows (when options.gather_results).
   ResultSet results;
-  /// Merged metric snapshot over every node's registry shard (empty when
-  /// options.obs.metrics is off or the build disables observability).
+  /// Merged metric snapshot over every node's registry shard.
   MetricsSnapshot metrics;
   /// Concatenated per-node trace event logs (only when options.obs.traces
   /// is on). Export with ChromeTraceJson/WriteChromeTrace.

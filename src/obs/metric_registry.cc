@@ -18,7 +18,6 @@ std::string MetricKindToString(MetricKind kind) {
 
 internal_obs::MetricCell* MetricRegistry::FindOrCreate(
     const std::string& name, MetricKind kind, const HistogramSpec* spec) {
-  if (!enabled_) return nullptr;
   MutexLock lock(&mu_);
   for (internal_obs::MetricCell& cell : cells_) {
     if (cell.name == name) {

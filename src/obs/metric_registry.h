@@ -40,18 +40,14 @@ struct MetricCell {
 }  // namespace internal_obs
 
 /// Monotonic counter handle. Value-type, trivially copyable; a
-/// default-constructed (or disabled-registry) handle ignores updates, so
-/// call sites never branch on configuration themselves.
+/// default-constructed handle ignores updates, so call sites never
+/// branch on whether a metric was registered.
 class Counter {
  public:
   Counter() = default;
 
   void Add(int64_t n) {
-#if !defined(ADAPTAGG_OBS_DISABLED)
     if (cell_ != nullptr) cell_->fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
   void Increment() { Add(1); }
 
@@ -68,23 +64,15 @@ class Gauge {
   Gauge() = default;
 
   void Set(int64_t v) {
-#if !defined(ADAPTAGG_OBS_DISABLED)
     if (cell_ != nullptr) cell_->store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   void UpdateMax(int64_t v) {
-#if !defined(ADAPTAGG_OBS_DISABLED)
     if (cell_ == nullptr) return;
     int64_t cur = cell_->load(std::memory_order_relaxed);
     while (cur < v && !cell_->compare_exchange_weak(
                           cur, v, std::memory_order_relaxed)) {
     }
-#else
-    (void)v;
-#endif
   }
 
  private:
@@ -100,15 +88,11 @@ class Histogram {
   Histogram() = default;
 
   void Observe(int64_t v) {
-#if !defined(ADAPTAGG_OBS_DISABLED)
     if (cell_ == nullptr) return;
     const int b = cell_->hist_spec.BucketOf(v);
     cell_->buckets[static_cast<size_t>(b)].fetch_add(
         1, std::memory_order_relaxed);
     cell_->value.fetch_add(1, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
  private:
@@ -161,12 +145,10 @@ struct MetricsSnapshot {
 /// reported once via the error list, never by throwing).
 class MetricRegistry {
  public:
-  explicit MetricRegistry(bool enabled = true) : enabled_(enabled) {}
+  MetricRegistry() = default;
 
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
-
-  bool enabled() const { return enabled_; }
 
   Counter counter(const std::string& name) ADAPTAGG_EXCLUDES(mu_);
   Gauge gauge(const std::string& name) ADAPTAGG_EXCLUDES(mu_);
@@ -194,7 +176,6 @@ class MetricRegistry {
                                          const HistogramSpec* spec)
       ADAPTAGG_EXCLUDES(mu_);
 
-  bool enabled_;
   mutable Mutex mu_;
   std::deque<internal_obs::MetricCell> cells_ ADAPTAGG_GUARDED_BY(mu_);
   std::vector<std::string> errors_ ADAPTAGG_GUARDED_BY(mu_);

@@ -28,12 +28,7 @@ HistogramSpec PagesPerDestSpec() {
 
 NodeObs::NodeObs(int node_id, const ObsConfig& config,
                  const CostClock* clock, double wall_epoch_s)
-    : config_(Effective(config)),
-      clock_(clock),
-      registry_(config_.metrics),
-      trace_(node_id, config_.spans && config_.traces, wall_epoch_s),
-      phase_registry_(config_.spans && config_.metrics ? &registry_
-                                                       : nullptr) {
+    : clock_(clock), trace_(node_id, config.traces, wall_epoch_s) {
   scan_tuples = registry_.counter("scan.tuples");
 
   net_msgs_sent = registry_.counter("net.msgs_sent");

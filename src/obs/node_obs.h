@@ -15,10 +15,9 @@ namespace adaptagg {
 
 /// One node's observability shard: a MetricRegistry, a TraceRecorder,
 /// and pre-bound handles for every engine metric, so hot paths pay a
-/// pointer-null check (or nothing, under ADAPTAGG_OBS_DISABLED) instead
-/// of a name lookup. Owned by NodeContext; the cluster merges the
-/// per-node snapshots and concatenates the per-node event logs after
-/// the node threads join.
+/// pointer-null check instead of a name lookup. Owned by NodeContext;
+/// the cluster merges the per-node snapshots and concatenates the
+/// per-node event logs after the node threads join.
 class NodeObs {
  public:
   /// `clock` is the node's simulated clock (spans read it at begin/end);
@@ -32,13 +31,12 @@ class NodeObs {
 
   MetricRegistry& registry() { return registry_; }
   TraceRecorder& trace() { return trace_; }
-  const ObsConfig& config() const { return config_; }
 
   /// Opens a phase span named `name` ("scan", "merge", "emit", ...).
-  /// Feeds the phase.<name>.{sim_us,wall_us,count} counters when spans
-  /// and metrics are on, and the trace event log when traces are on.
+  /// Feeds the phase.<name>.{sim_us,wall_us,count} counters, and the
+  /// trace event log when traces are on.
   PhaseTimer StartPhase(std::string name) {
-    return PhaseTimer(&trace_, phase_registry_, clock_, std::move(name));
+    return PhaseTimer(&trace_, &registry_, clock_, std::move(name));
   }
 
   /// Records an adaptive-switch decision: bumps core.switches and emits
@@ -55,9 +53,9 @@ class NodeObs {
                    std::vector<std::pair<std::string, int64_t>> args);
 
   /// Emits an instant trace event for a runtime tuning decision that is
-  /// not an algorithm switch (SIMD dispatch resolution): instant-only,
-  /// no counter — these change wall-clock behavior, never the simulated
-  /// plan, and must not perturb core.switches.
+  /// not an algorithm switch (the recovery checkpoint interval):
+  /// instant-only, no counter — these change wall-clock behavior, never
+  /// the simulated plan, and must not perturb core.switches.
   void RecordDecision(const std::string& name,
                       std::vector<std::pair<std::string, int64_t>> args);
 
@@ -153,25 +151,9 @@ class NodeObs {
   Histogram recovery_attempt_wall_us;
 
  private:
-  /// The config a shard actually honors: the caller's, or everything-off
-  /// when the subsystem is compiled out — so a disabled build never
-  /// creates cells or records events, and RunResult stays truly empty.
-  static ObsConfig Effective(const ObsConfig& config) {
-#if defined(ADAPTAGG_OBS_DISABLED)
-    (void)config;
-    return ObsConfig::Disabled();
-#else
-    return config;
-#endif
-  }
-
-  ObsConfig config_;
   const CostClock* clock_;
   MetricRegistry registry_;
   TraceRecorder trace_;
-  /// Registry pointer handed to PhaseTimers: null unless both spans and
-  /// metrics are enabled (spans own the phase.* counters).
-  MetricRegistry* phase_registry_;
 };
 
 }  // namespace adaptagg

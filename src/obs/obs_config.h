@@ -5,37 +5,15 @@ namespace adaptagg {
 
 /// Runtime switches of the observability subsystem. Carried by
 /// AlgorithmOptions into every cluster run; each node's NodeObs is
-/// configured from it. The compile-time kill switch is the CMake option
-/// ADAPTAGG_OBS=OFF (defining ADAPTAGG_OBS_DISABLED), which turns every
-/// metric/trace call site into a no-op regardless of these flags.
+/// configured from it. Per-node metrics (counters, gauges, histograms
+/// and the phase.* span counters) are always on; the merged snapshot
+/// rides back on RunResult::metrics.
 struct ObsConfig {
-  /// Per-node counters, gauges, and histograms (MetricRegistry). The
-  /// merged snapshot rides back on RunResult::metrics.
-  bool metrics = true;
-  /// Structured phase spans and adaptive-switch decision events
-  /// (TraceRecorder), in simulated and wall time. Spans also feed the
-  /// per-phase time counters of the registry.
-  bool spans = true;
-  /// Keep the full event log on RunResult::trace_events so it can be
+  /// Keep the full event log (phase spans and decision instants, in
+  /// simulated and wall time) on RunResult::trace_events so it can be
   /// exported as a Chrome trace (one track per node). Off by default:
   /// traces of big runs are large; metrics and span counters are not.
   bool traces = false;
-
-  /// Everything off: the hot paths see only null handles.
-  static ObsConfig Disabled() {
-    ObsConfig c;
-    c.metrics = false;
-    c.spans = false;
-    c.traces = false;
-    return c;
-  }
-
-  /// Metrics + spans + the exportable event log.
-  static ObsConfig Full() {
-    ObsConfig c;
-    c.traces = true;
-    return c;
-  }
 };
 
 }  // namespace adaptagg

@@ -62,16 +62,14 @@ void PhaseTimer::End() {
   ended_ = true;
   const double sim_end = clock_ != nullptr ? clock_->now() : 0;
   const double wall_end = WallSeconds();
-  if (registry_ != nullptr) {
-    const double sim_us = (sim_end - sim_begin_s_) * 1e6;
-    const double wall_us = (wall_end - wall_begin_s_) * 1e6;
-    registry_->counter("phase." + name_ + ".sim_us")
-        .Add(static_cast<int64_t>(sim_us + 0.5));
-    registry_->counter("phase." + name_ + ".wall_us")
-        .Add(static_cast<int64_t>(wall_us + 0.5));
-    registry_->counter("phase." + name_ + ".count").Increment();
-  }
-  if (recorder_ != nullptr && recorder_->enabled()) {
+  const double sim_us = (sim_end - sim_begin_s_) * 1e6;
+  const double wall_us = (wall_end - wall_begin_s_) * 1e6;
+  registry_->counter("phase." + name_ + ".sim_us")
+      .Add(static_cast<int64_t>(sim_us + 0.5));
+  registry_->counter("phase." + name_ + ".wall_us")
+      .Add(static_cast<int64_t>(wall_us + 0.5));
+  registry_->counter("phase." + name_ + ".count").Increment();
+  if (recorder_->enabled()) {
     const double epoch = recorder_->wall_epoch_s();
     recorder_->RecordSpan(name_, sim_begin_s_, sim_end,
                           wall_begin_s_ - epoch, wall_end - epoch,

@@ -83,9 +83,7 @@ class TraceRecorder {
 /// RAII span: captures (sim, wall) time at construction and, on End() or
 /// destruction, records the span into the recorder (when tracing) and
 /// bumps the phase's registry counters `phase.<name>.sim_us`,
-/// `phase.<name>.wall_us` and `phase.<name>.count` (when metrics are on).
-/// Both sinks are nullable, so a fully disabled run pays two clock reads
-/// and nothing else.
+/// `phase.<name>.wall_us` and `phase.<name>.count`.
 class PhaseTimer {
  public:
   PhaseTimer(TraceRecorder* recorder, MetricRegistry* registry,
@@ -97,7 +95,7 @@ class PhaseTimer {
   ~PhaseTimer() { End(); }
 
   /// Attaches a structured argument to the span (kept on the trace
-  /// event; ignored when only metrics are enabled).
+  /// event; ignored when tracing is off).
   void AddArg(const std::string& key, int64_t value);
 
   /// Closes the span; idempotent (the destructor is then a no-op).

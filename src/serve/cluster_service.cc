@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "cluster/recovery.h"
-#include "common/simd.h"
 #include "core/algorithm.h"
 #include "model/recovery_model.h"
 #include "net/fault.h"
@@ -157,14 +156,13 @@ ClusterService::ClusterService(ServiceConfig config, PartitionedRelation* rel,
       rel_(rel),
       mesh_factory_(std::move(mesh_factory)),
       router_(std::make_unique<SessionRouter>(std::move(mesh))),
-      cache_(config_.cache_entries, config_.cache_min_cost_us),
+      cache_(config_.cache_entries),
       scheduler_(config_.scheduler) {
   admitted_ = metrics_.counter("serve.admitted");
   rejected_queue_full_ = metrics_.counter("serve.rejected.queue_full");
   rejected_memory_ = metrics_.counter("serve.rejected.memory");
   cache_hits_ = metrics_.counter("serve.cache.hits");
   cache_misses_ = metrics_.counter("serve.cache.misses");
-  cache_skipped_cheap_ = metrics_.counter("serve.cache.skipped_cheap");
   completed_ = metrics_.counter("serve.completed");
   aborted_ = metrics_.counter("serve.aborted");
   replays_ = metrics_.counter("serve.recovery.replays");
@@ -421,10 +419,6 @@ void ClusterService::StartAttempt(Session* s) {
           ->set_observer(MakeFaultObserver(&s->contexts.back()->obs()));
     }
   }
-  s->contexts.front()->obs().RecordDecision(
-      "simd.dispatch",
-      {{"kind", static_cast<int64_t>(simd::ActiveDispatch())},
-       {"forced_scalar", simd::ForcedScalar() ? 1 : 0}});
   if (s->recovery != nullptr) {
     s->contexts.front()->obs().RecordDecision(
         "recovery.checkpoint_interval",
@@ -514,12 +508,8 @@ void ClusterService::FinishSession(Session* s) {
     // version bump mid-query means these rows describe neither the old
     // nor the new contents reliably enough to replay.
     if (s->cacheable && rel_->version() == s->rel_version) {
-      // Insert refuses results under the cost floor; cacheable implies
-      // the cache is enabled, so a refusal here is always the floor.
-      if (!cache_.Insert({s->rel_version, s->fingerprint},
-                         {result.results, result.sim_time_s})) {
-        cache_skipped_cheap_.Increment();
-      }
+      cache_.Insert({s->rel_version, s->fingerprint},
+                    {result.results, result.sim_time_s});
     }
   } else {
     aborted_.Increment();

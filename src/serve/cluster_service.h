@@ -79,10 +79,6 @@ struct ServiceConfig {
   SchedulerConfig scheduler;
   /// Result-cache capacity in entries; 0 disables caching.
   size_t cache_entries = 64;
-  /// Result-cache admission floor in modeled microseconds: a completed
-  /// query cheaper than this is served but not cached (re-execution
-  /// beats evicting an expensive neighbor). 0 caches everything.
-  int64_t cache_min_cost_us = 0;
   /// Physical mesh factory (empty: in-process mesh). The mesh is built
   /// once and shared by every session through the SessionRouter.
   Cluster::TransportFactory transport_factory;
@@ -213,13 +209,12 @@ class ClusterService {
 
   // Service-level observability: serve.* lives in its own registry,
   // separate from the per-session shards merged into each RunResult.
-  MetricRegistry metrics_{true};
+  MetricRegistry metrics_;
   Counter admitted_;
   Counter rejected_queue_full_;
   Counter rejected_memory_;
   Counter cache_hits_;
   Counter cache_misses_;
-  Counter cache_skipped_cheap_;
   Counter completed_;
   Counter aborted_;
   Counter replays_;

@@ -37,21 +37,14 @@ std::optional<ResultCache::Entry> ResultCache::Lookup(const Key& key) {
   return it->second.entry;
 }
 
-bool ResultCache::Insert(const Key& key, Entry entry) {
-  if (max_entries_ == 0) return false;
+void ResultCache::Insert(const Key& key, Entry entry) {
+  if (max_entries_ == 0) return;
   MutexLock lock(&mu_);
-  if (min_cost_us_ > 0 && entry.sim_time_s * 1e6 <
-                              static_cast<double>(min_cost_us_)) {
-    // Below the admission floor: re-running this query costs less than
-    // the slot it would occupy (and the eviction it might force).
-    ++skipped_cheap_;
-    return false;
-  }
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     it->second.entry = std::move(entry);
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return true;
+    return;
   }
   while (entries_.size() >= max_entries_) {
     entries_.erase(lru_.back());
@@ -60,7 +53,6 @@ bool ResultCache::Insert(const Key& key, Entry entry) {
   }
   lru_.push_front(key);
   entries_.emplace(key, Slot{std::move(entry), lru_.begin()});
-  return true;
 }
 
 void ResultCache::InvalidateAll() {
@@ -77,11 +69,6 @@ size_t ResultCache::size() const {
 uint64_t ResultCache::evictions() const {
   MutexLock lock(&mu_);
   return evictions_;
-}
-
-uint64_t ResultCache::skipped_cheap() const {
-  MutexLock lock(&mu_);
-  return skipped_cheap_;
 }
 
 }  // namespace adaptagg

@@ -54,12 +54,8 @@ class ResultCache {
   };
 
   /// `max_entries` == 0 disables the cache (every Lookup misses, every
-  /// Insert is dropped). `min_cost_us` is the admission floor: a result
-  /// whose modeled production cost is below it is not worth a slot — a
-  /// re-execution is cheaper than the eviction it would force on a more
-  /// expensive neighbor. 0 admits everything.
-  explicit ResultCache(size_t max_entries, int64_t min_cost_us = 0)
-      : max_entries_(max_entries), min_cost_us_(min_cost_us) {}
+  /// Insert is dropped).
+  explicit ResultCache(size_t max_entries) : max_entries_(max_entries) {}
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -69,18 +65,14 @@ class ResultCache {
   std::optional<Entry> Lookup(const Key& key) ADAPTAGG_EXCLUDES(mu_);
 
   /// Inserts (or refreshes) an entry, evicting the least recently used
-  /// one when full. Returns false when the entry was not stored — the
-  /// cache is disabled, or the result's modeled cost sits below the
-  /// admission floor (counted in skipped_cheap()).
-  bool Insert(const Key& key, Entry entry) ADAPTAGG_EXCLUDES(mu_);
+  /// one when full. A disabled cache drops it.
+  void Insert(const Key& key, Entry entry) ADAPTAGG_EXCLUDES(mu_);
 
   /// Drops every entry (explicit invalidation).
   void InvalidateAll() ADAPTAGG_EXCLUDES(mu_);
 
   size_t size() const ADAPTAGG_EXCLUDES(mu_);
   uint64_t evictions() const ADAPTAGG_EXCLUDES(mu_);
-  /// Inserts refused by the cost-floor admission rule.
-  uint64_t skipped_cheap() const ADAPTAGG_EXCLUDES(mu_);
 
  private:
   struct Slot {
@@ -89,13 +81,11 @@ class ResultCache {
   };
 
   size_t max_entries_;
-  int64_t min_cost_us_;
   mutable Mutex mu_;
   /// Most recently used at the front.
   std::list<Key> lru_ ADAPTAGG_GUARDED_BY(mu_);
   std::map<Key, Slot> entries_ ADAPTAGG_GUARDED_BY(mu_);
   uint64_t evictions_ ADAPTAGG_GUARDED_BY(mu_) = 0;
-  uint64_t skipped_cheap_ ADAPTAGG_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace adaptagg

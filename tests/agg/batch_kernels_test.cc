@@ -1,14 +1,19 @@
 // Differential tests for the batched aggregation kernels: every batch
 // entry point must be bit-identical to the tuple-at-a-time path it
 // replaced — same hashes, same projected bytes, same table contents,
-// and the same exact stopping tuple when the table fills mid-batch.
+// and the same exact stopping tuple when the table fills mid-batch. The
+// spec-matrix differentials also run adversarial rows (NaN, infinities,
+// signed zero, int64 extremes) through the fused add and MIN/MAX kernels.
 
 #include "agg/batch_kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <initializer_list>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -43,6 +48,16 @@ std::vector<SpecCase> AllSpecCases() {
        Schema({{"g", DataType::kInt64, 8}, {"v", DataType::kInt64, 8}}),
        {0},
        {{AggKind::kCount, -1, "c"}, {AggKind::kSum, 1, "s"}},
+       FusedKernelKind::kCountSumInt64, FusedMergeKind::kAddInt64});
+  // Three-int64 key (24B word fast path) on the fused COUNT+SUM kernel.
+  cases.push_back(
+      {"count_sum_int64_3key",
+       Schema({{"a", DataType::kInt64, 8},
+               {"b", DataType::kInt64, 8},
+               {"c", DataType::kInt64, 8},
+               {"v", DataType::kInt64, 8}}),
+       {0, 1, 2},
+       {{AggKind::kCount, -1, "c"}, {AggKind::kSum, 3, "s"}},
        FusedKernelKind::kCountSumInt64, FusedMergeKind::kAddInt64});
   // Two-int64 key (16B word fast path), double inputs, SUM + AVG.
   cases.push_back(
@@ -137,6 +152,66 @@ std::vector<uint8_t> MakeTuples(const Schema& schema, int n, uint64_t seed,
   return raw;
 }
 
+/// Deterministic tuples with adversarial values in every column: int64
+/// sentinel extremes (INT64_MIN / INT64_MAX, which also wrap the SUM
+/// and AVG accumulators), NaN / infinities / signed zero / huge doubles,
+/// and keys drawn from `groups` ids so most rows update an existing
+/// group.
+std::vector<uint8_t> MakeAdversarialTuples(const Schema& schema, int n,
+                                           int groups) {
+  constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
+  const double specials[] = {std::nan(""),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             -0.0, 1.5e300, -2.25};
+  std::vector<uint8_t> raw(static_cast<size_t>(n) * schema.tuple_size());
+  for (int i = 0; i < n; ++i) {
+    uint8_t* rec = raw.data() + static_cast<size_t>(i) * schema.tuple_size();
+    const int g = i % groups;
+    for (int f = 0; f < schema.num_fields(); ++f) {
+      uint8_t* dst = rec + schema.offset(f);
+      const int j = i + 3 * f;  // staggers the specials across columns
+      switch (schema.field(f).type) {
+        case DataType::kInt64: {
+          int64_t v = static_cast<int64_t>(g) * (f + 1) - 7;
+          if (j % 13 == 0) v = kI64Min;
+          if (j % 17 == 0) v = kI64Max;
+          std::memcpy(dst, &v, 8);
+          break;
+        }
+        case DataType::kDouble: {
+          const double d = (j % 5 == 0)
+                               ? specials[static_cast<size_t>(j / 5) % 6]
+                               : static_cast<double>(g) * 0.125 - 3.0;
+          std::memcpy(dst, &d, 8);
+          break;
+        }
+        case DataType::kBytes: {
+          for (int b = 0; b < schema.field(f).width; ++b) {
+            const int c = (g + b) % 3 == 0 ? 0 : 'a' + g % 26;
+            dst[b] = static_cast<uint8_t>(c);
+          }
+          break;
+        }
+      }
+    }
+  }
+  return raw;
+}
+
+/// The spec-matrix differential inputs: one random small-domain input
+/// per seed, then the adversarial rows.
+std::vector<std::vector<uint8_t>> MatrixInputs(
+    const Schema& schema, int n, std::initializer_list<uint64_t> seeds) {
+  std::vector<std::vector<uint8_t>> inputs;
+  for (uint64_t seed : seeds) {
+    inputs.push_back(MakeTuples(schema, n, seed, 29));
+  }
+  inputs.push_back(MakeAdversarialTuples(schema, n, /*groups=*/211));
+  return inputs;
+}
+
 /// The pre-batch per-tuple path: project, hash, upsert one at a time.
 void ScalarUpsertAll(const AggregationSpec& spec, const Schema& schema,
                      const std::vector<uint8_t>& raw, int n,
@@ -194,10 +269,12 @@ TEST(BatchKernels, BatchMatchesScalarAcrossSpecMatrix) {
         AggregationSpec spec,
         AggregationSpec::Make(&c.schema, c.group_cols, c.aggs));
     EXPECT_EQ(spec.fused_kernel(), c.want_kernel);
-    for (uint64_t seed : {1u, 7u, 1234u}) {
-      SCOPED_TRACE("seed=" + std::to_string(seed));
-      const int n = 4096;
-      std::vector<uint8_t> raw = MakeTuples(c.schema, n, seed, 29);
+    const int n = 4096;
+    const std::vector<std::vector<uint8_t>> inputs =
+        MatrixInputs(c.schema, n, {1u, 7u, 1234u});
+    for (size_t in = 0; in < inputs.size(); ++in) {
+      SCOPED_TRACE("input=" + std::to_string(in));
+      const std::vector<uint8_t>& raw = inputs[in];
       AggHashTable scalar(&spec, /*max_entries=*/1 << 20);
       ScalarUpsertAll(spec, c.schema, raw, n, scalar);
       AggHashTable batched(&spec, /*max_entries=*/1 << 20);
@@ -407,10 +484,12 @@ TEST(BatchKernels, PartialMergeBatchMatchesScalarAcrossSpecMatrix) {
         AggregationSpec spec,
         AggregationSpec::Make(&c.schema, c.group_cols, c.aggs));
     EXPECT_EQ(spec.fused_merge_kernel(), c.want_merge);
-    for (uint64_t seed : {2u, 9u, 4321u}) {
-      SCOPED_TRACE("seed=" + std::to_string(seed));
-      const int n = 4096;
-      std::vector<uint8_t> raw = MakeTuples(c.schema, n, seed, 29);
+    const int n = 4096;
+    const std::vector<std::vector<uint8_t>> inputs =
+        MatrixInputs(c.schema, n, {2u, 9u, 4321u});
+    for (size_t in = 0; in < inputs.size(); ++in) {
+      SCOPED_TRACE("input=" + std::to_string(in));
+      const std::vector<uint8_t>& raw = inputs[in];
       std::vector<uint8_t> partials = MakePartials(spec, c.schema, raw, n);
       const int pw = spec.partial_width();
 

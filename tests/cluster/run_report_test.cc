@@ -34,14 +34,12 @@ TEST(RunReport, ContainsHeadlineNumbersAndPerNodeLines) {
   EXPECT_NE(report.find("node 0:"), std::string::npos);
   EXPECT_NE(report.find("node 1:"), std::string::npos);
   EXPECT_NE(report.find("[switched]"), std::string::npos);
-#if !defined(ADAPTAGG_OBS_DISABLED)
-  // With obs on, the report includes network totals and phase lines
-  // derived from the merged metric snapshot.
+  // The report includes network totals and phase lines derived from
+  // the merged metric snapshot.
   EXPECT_NE(report.find("network:"), std::string::npos);
   EXPECT_NE(report.find("peak channel depth"), std::string::npos);
   EXPECT_NE(report.find("phase scan:"), std::string::npos);
   EXPECT_NE(report.find("phase merge:"), std::string::npos);
-#endif
 }
 
 TEST(RunReport, SummaryLineParsesKeyFields) {
@@ -53,10 +51,8 @@ TEST(RunReport, SummaryLineParsesKeyFields) {
   EXPECT_NE(line.find("switched=2"), std::string::npos);
   EXPECT_NE(line.find("bytes="), std::string::npos);
   EXPECT_NE(line.find("chdepth="), std::string::npos);
-#if !defined(ADAPTAGG_OBS_DISABLED)
   // A-2P on 2 nodes ships partials, so bytes-on-wire must be nonzero.
   EXPECT_EQ(line.find("bytes=0 "), std::string::npos);
-#endif
   // One line only.
   EXPECT_EQ(line.find('\n'), std::string::npos);
 }

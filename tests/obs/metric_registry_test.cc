@@ -7,8 +7,6 @@
 namespace adaptagg {
 namespace {
 
-#if !defined(ADAPTAGG_OBS_DISABLED)
-
 TEST(MetricRegistry, CountersAccumulateAndSnapshot) {
   MetricRegistry reg;
   Counter c = reg.counter("a.count");
@@ -39,17 +37,6 @@ TEST(MetricRegistry, KindMismatchYieldsDeadHandleNotACrash) {
   g.Set(99);  // dead handle: ignored
   EXPECT_EQ(reg.Snapshot().Value("name"), 7);
   EXPECT_FALSE(reg.registration_errors().empty());
-}
-
-TEST(MetricRegistry, DisabledRegistryIgnoresEverything) {
-  MetricRegistry reg(/*enabled=*/false);
-  Counter c = reg.counter("c");
-  Gauge g = reg.gauge("g");
-  Histogram h = reg.histogram("h", HistogramSpec::Linear(10, 2));
-  c.Add(5);
-  g.UpdateMax(5);
-  h.Observe(5);
-  EXPECT_TRUE(reg.Snapshot().empty());
 }
 
 TEST(MetricRegistry, SnapshotIsNameSortedRegardlessOfRegistration) {
@@ -156,19 +143,6 @@ TEST(MetricsExport, JsonAndTextRenderings) {
   EXPECT_NE(text.find("records 10"), std::string::npos);
   EXPECT_NE(text.find("<=10:"), std::string::npos);
 }
-
-#else
-
-TEST(MetricRegistry, CompiledOutHandlesAreInertNoOps) {
-  MetricRegistry reg;
-  Counter c = reg.counter("c");
-  c.Add(5);
-  // With ADAPTAGG_OBS_DISABLED the update path compiles to nothing; the
-  // registry still snapshots (the cell exists, its value stays 0).
-  EXPECT_EQ(reg.Snapshot().Value("c"), 0);
-}
-
-#endif  // !defined(ADAPTAGG_OBS_DISABLED)
 
 }  // namespace
 }  // namespace adaptagg

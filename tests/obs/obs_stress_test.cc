@@ -15,7 +15,6 @@ namespace {
 // update paths and Snapshot are race-free; in any build it proves no
 // update is lost once the writers join.
 TEST(ObsStress, ConcurrentUpdatesDuringSnapshot) {
-#if !defined(ADAPTAGG_OBS_DISABLED)
   static constexpr int kThreads = 4;
   static constexpr int kOpsPerThread = 50'000;
 
@@ -83,9 +82,6 @@ TEST(ObsStress, ConcurrentUpdatesDuringSnapshot) {
   int64_t bucket_sum = 0;
   for (int64_t b : h->bucket_counts) bucket_sum += b;
   EXPECT_EQ(bucket_sum, h->value);
-#else
-  GTEST_SKIP() << "observability compiled out (ADAPTAGG_OBS_DISABLED)";
-#endif
 }
 
 // The serving layer's metric flow: per-session registries are updated
@@ -96,7 +92,6 @@ TEST(ObsStress, ConcurrentUpdatesDuringSnapshot) {
 // the concurrency contract is exactly "Snapshot may race updates"; this
 // test pins that contract down under TSan the way FinishSession uses it.
 TEST(ObsStress, SnapshotAndMergeRaceSessionUpdates) {
-#if !defined(ADAPTAGG_OBS_DISABLED)
   static constexpr int kShards = 3;
   static constexpr int kOpsPerShard = 20'000;
 
@@ -141,9 +136,6 @@ TEST(ObsStress, SnapshotAndMergeRaceSessionUpdates) {
   EXPECT_EQ(final_view.Value("merge.count"),
             int64_t{kShards} * kOpsPerShard);
   EXPECT_EQ(final_view.Value("merge.peak"), kOpsPerShard - 1);
-#else
-  GTEST_SKIP() << "observability compiled out (ADAPTAGG_OBS_DISABLED)";
-#endif
 }
 
 }  // namespace

@@ -160,12 +160,10 @@ RunResult TracedRun() {
   EXPECT_TRUE(spec.ok());
   Cluster cluster(SmallClusterParams(2, 4'000, /*M=*/256));
   AlgorithmOptions opts;
-  opts.obs = ObsConfig::Full();
+  opts.obs.traces = true;
   return cluster.Run(*MakeAlgorithm(AlgorithmKind::kAdaptiveTwoPhase),
                      *spec, *rel, opts);
 }
-
-#if !defined(ADAPTAGG_OBS_DISABLED)
 
 TEST(ChromeTrace, ExportIsValidJson) {
   RunResult run = TracedRun();
@@ -317,32 +315,8 @@ TEST(ChromeTrace, TracesOffByDefaultKeepsRunResultLean) {
                               *spec, *rel);  // default options
   ASSERT_OK(run.status);
   EXPECT_TRUE(run.trace_events.empty());
-  EXPECT_FALSE(run.metrics.empty());  // metrics still on by default
+  EXPECT_FALSE(run.metrics.empty());  // metrics are always on
 }
-
-TEST(ChromeTrace, SimdDispatchInstantRecordedOncePerRun) {
-  RunResult run = TracedRun();
-  ASSERT_OK(run.status);
-  int dispatch_instants = 0;
-  for (const TraceEvent& e : run.trace_events) {
-    if (e.kind == TraceEvent::Kind::kInstant && e.name == "simd.dispatch") {
-      ++dispatch_instants;
-    }
-  }
-  EXPECT_EQ(dispatch_instants, 1);
-}
-
-#else
-
-TEST(ChromeTrace, DisabledBuildProducesNoEvents) {
-  RunResult run = TracedRun();
-  ASSERT_OK(run.status);
-  EXPECT_TRUE(run.trace_events.empty());
-  const std::string json = ChromeTraceJson(run.trace_events, run.num_nodes);
-  EXPECT_TRUE(JsonChecker(json).Valid());
-}
-
-#endif  // !defined(ADAPTAGG_OBS_DISABLED)
 
 }  // namespace
 }  // namespace adaptagg

@@ -82,41 +82,6 @@ TEST(ResultCache, ZeroCapacityDisablesTheCache) {
   EXPECT_FALSE(cache.Lookup(MakeKey(1, "a")).has_value());
 }
 
-TEST(ResultCache, AdmissionFloorSkipsCheapQueries) {
-  // 100 us floor: a 50 us query is served but never cached, a 100 us
-  // query is admitted (the floor is inclusive).
-  ResultCache cache(4, /*min_cost_us=*/100);
-  EXPECT_FALSE(cache.Insert(MakeKey(1, "cheap"), MakeEntry(50e-6)));
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.skipped_cheap(), 1u);
-  EXPECT_FALSE(cache.Lookup(MakeKey(1, "cheap")).has_value());
-
-  EXPECT_TRUE(cache.Insert(MakeKey(1, "costly"), MakeEntry(100e-6)));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.skipped_cheap(), 1u);
-  EXPECT_TRUE(cache.Lookup(MakeKey(1, "costly")).has_value());
-}
-
-TEST(ResultCache, ZeroFloorAdmitsEverything) {
-  ResultCache cache(4);
-  EXPECT_TRUE(cache.Insert(MakeKey(1, "free"), MakeEntry(0.0)));
-  EXPECT_EQ(cache.skipped_cheap(), 0u);
-}
-
-TEST(ResultCache, FloorRefusalsDoNotEvict) {
-  // A stream of cheap queries must not churn the resident hot entries.
-  ResultCache cache(2, /*min_cost_us=*/10);
-  EXPECT_TRUE(cache.Insert(MakeKey(1, "hot"), MakeEntry(1.0)));
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(
-        cache.Insert(MakeKey(1, "cheap" + std::to_string(i)),
-                     MakeEntry(1e-6)));
-  }
-  EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_EQ(cache.skipped_cheap(), 100u);
-  EXPECT_TRUE(cache.Lookup(MakeKey(1, "hot")).has_value());
-}
-
 TEST(QueryFingerprint, IgnoresHowAndCapturesWhat) {
   Schema schema = MakeBenchSchema(100);
   ASSERT_OK_AND_ASSIGN(AggregationSpec spec, MakeBenchQuery(&schema));

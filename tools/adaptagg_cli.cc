@@ -358,7 +358,6 @@ int RunEngine(const CliOptions& opt,
       run_opts.recovery.checkpoint_every_batches = opt.checkpoint_every;
     }
     if (!opt.trace_file.empty()) {
-      run_opts.obs.spans = true;
       run_opts.obs.traces = true;
     }
     ServeQuery submission;
