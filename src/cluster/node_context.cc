@@ -327,7 +327,7 @@ Status NodeContext::EmitFinalRow(const uint8_t* key, const uint8_t* state) {
   }
   clock_.AddCpu(params_.t_w());  // generating the result tuple
   ++stats_.result_rows;
-  if (options_.store_results && disk_ != nullptr) {
+  if (disk_ != nullptr) {
     if (result_file_ == nullptr) {
       // Session runs namespace the file by query id: concurrent sessions
       // store results on the same shared node disks.

@@ -39,18 +39,18 @@ struct RecoveryOptions {
   /// model (model/recovery_model.h), 0 never checkpoints (recovery then
   /// replays from scratch), K > 0 is an explicit interval.
   int64_t checkpoint_every_batches = -1;
-  /// Executions of the query before giving up (first run included), so
-  /// repeated crashes terminate with the last attempt's error.
-  int max_attempts = 3;
 };
+
+/// Executions of a recovering query before giving up (first run
+/// included), so repeated crashes terminate with the last attempt's
+/// error.
+inline constexpr int kMaxRecoveryAttempts = 3;
 
 /// Tunables of one algorithm run. Negative values mean "derive the paper
 /// default from SystemParams".
 struct AlgorithmOptions {
   /// Hash table bound M per node phase (-1: params.max_hash_entries).
   int64_t max_hash_entries = -1;
-  /// Overflow buckets per spill level.
-  int spill_fanout = 8;
 
   // --- Sampling algorithm (§3.1) ---
   /// Groups below this choose Two Phase, at/above choose Repartitioning
@@ -66,25 +66,17 @@ struct AlgorithmOptions {
   /// "Too few groups" bound at decision time (-1: crossover threshold).
   int64_t few_groups_threshold = -1;
 
-  /// Caller-supplied global distinct-group estimate (0: unknown). Feeds
-  /// only the serving layer's admission memory estimate; the engine's
-  /// own decisions use the sampling phase's measured estimates.
-  int64_t estimated_groups = 0;
-
   // --- Adaptive Two Phase ablation knob ---
   /// Fraction of M at which A-2P abandons local aggregation (1.0 = the
   /// paper's memory-overflow switch point).
   double switch_fill_fraction = 1.0;
 
-  /// Store final rows to each node's local disk (charged I/O), as the
-  /// paper's store operator does.
-  bool store_results = true;
-  /// Also gather rows centrally so callers/tests can inspect them.
+  /// Gather rows centrally so callers/tests can inspect them.
   bool gather_results = true;
 
   /// Optional WHERE predicate over the input schema: every node's local
   /// scan is wrapped in a select operator (§2's pipeline architecture).
-  /// Validated by Cluster::Run before execution.
+  /// Validated by ValidateRunOptions before execution.
   ExprPtr where;
   /// Optional HAVING predicate over the aggregation's final schema,
   /// applied when result rows are emitted (§2: evaluated after GROUP BY).
@@ -149,7 +141,7 @@ class Cluster;
 class NodeContext {
  public:
   /// `obs_wall_epoch_s` aligns this node's trace wall timeline with the
-  /// rest of the cluster (Cluster::Run passes one WallSeconds() reading
+  /// rest of the cluster (QueryExecution passes one WallSeconds() reading
   /// to every node); negative means "use this node's own construction
   /// time", which standalone/test contexts can leave defaulted.
   NodeContext(int node_id, const SystemParams& params,
@@ -187,7 +179,7 @@ class NodeContext {
   /// Folds the end-of-run values that are tracked elsewhere — NodeRunStats
   /// record counters, spill stats, the transport's inbox high-water —
   /// into the metric shard. Called once per node after the algorithm
-  /// returns (by Cluster::Run, or manually in standalone harnesses).
+  /// returns (by QueryExecution, or manually in standalone harnesses).
   void FinalizeObs();
 
   // --- messaging (costs charged via the NetworkModel) ---
@@ -285,15 +277,15 @@ class NodeContext {
   double recv_idle_timeout_s() const { return idle_timeout_s_; }
 
   // --- result emission ---
-  /// Finalizes (key, state) into a result row: charges t_w, stores to the
-  /// local result file (if store_results) and gathers it (if
-  /// gather_results).
+  /// Finalizes (key, state) into a result row: charges t_w, stores it to
+  /// the local result file (when the node has a disk), as the paper's
+  /// store operator does, and gathers it (if gather_results).
   Status EmitFinalRow(const uint8_t* key, const uint8_t* state);
 
   /// Flushes the result file and syncs I/O. Call once per node at the end.
   Status FinishResults();
 
-  /// Wires up central gathering (done by Cluster). The sink owns its
+  /// Wires up central gathering (done by QueryExecution). The sink owns its
   /// lock, so the node only ever sees annotated operations.
   void SetGather(GatherSink* sink) { gather_ = sink; }
 

@@ -7,6 +7,31 @@
 #include "storage/faulty_disk.h"
 
 namespace adaptagg {
+namespace {
+
+/// Checkpoint disks for a query: plain SimDisks unless the fault plan
+/// targets a node's checkpoint disk with disk-fail or torn-write.
+CheckpointStore::DiskFactory CheckpointDiskFactory(const FaultPlan& plan,
+                                                   int page_size) {
+  if (!plan.HasCheckpointDiskFaults()) return {};
+  return [plan, page_size](int node) -> std::unique_ptr<Disk> {
+    const int64_t fail_nth = plan.DiskFailNthForNode(node);
+    if (fail_nth >= 0) {
+      auto disk = std::make_unique<FaultySimDisk>(page_size);
+      disk->FailWritesAfter(fail_nth);
+      return disk;
+    }
+    const int64_t tear_nth = plan.TornWriteNthForNode(node);
+    if (tear_nth >= 0) {
+      auto disk = std::make_unique<TornWriteDisk>(page_size);
+      disk->TearWrite(tear_nth);
+      return disk;
+    }
+    return std::make_unique<SimDisk>(page_size);
+  };
+}
+
+}  // namespace
 
 RecoveryNode::RecoveryNode(CheckpointStore* store, int node,
                            int64_t every_batches)
@@ -59,33 +84,12 @@ void RecoveryNode::CountSkipped(NodeContext& ctx) {
 }
 
 RecoveryRuntime::RecoveryRuntime(int num_nodes, int page_size,
-                                 int64_t every_batches,
-                                 CheckpointStore::DiskFactory disk_factory)
-    : store_(num_nodes, page_size, std::move(disk_factory)) {
+                                 int64_t every_batches, const FaultPlan& plan)
+    : store_(num_nodes, page_size, CheckpointDiskFactory(plan, page_size)) {
   nodes_.reserve(static_cast<size_t>(num_nodes));
   for (int i = 0; i < num_nodes; ++i) {
     nodes_.emplace_back(&store_, i, every_batches);
   }
-}
-
-CheckpointStore::DiskFactory MakeCheckpointDiskFactory(const FaultPlan& plan,
-                                                       int page_size) {
-  if (!plan.HasCheckpointDiskFaults()) return {};
-  return [plan, page_size](int node) -> std::unique_ptr<Disk> {
-    const int64_t fail_nth = plan.DiskFailNthForNode(node);
-    if (fail_nth >= 0) {
-      auto disk = std::make_unique<FaultySimDisk>(page_size);
-      disk->FailWritesAfter(fail_nth);
-      return disk;
-    }
-    const int64_t tear_nth = plan.TornWriteNthForNode(node);
-    if (tear_nth >= 0) {
-      auto disk = std::make_unique<TornWriteDisk>(page_size);
-      disk->TearWrite(tear_nth);
-      return disk;
-    }
-    return std::make_unique<SimDisk>(page_size);
-  };
 }
 
 }  // namespace adaptagg

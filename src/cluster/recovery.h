@@ -27,7 +27,7 @@ class NodeContext;
 /// Checkpoint I/O runs on the store's dedicated disks, never the node's
 /// cost-charged SimDisk, so enabling checkpointing cannot perturb the
 /// modeled execution time. No wall-clock reads happen here; attempt
-/// timing lives in the cluster driver.
+/// timing lives in QueryExecution.
 class RecoveryNode {
  public:
   RecoveryNode(CheckpointStore* store, int node, int64_t every_batches);
@@ -71,17 +71,18 @@ class RecoveryNode {
   std::unique_ptr<CheckpointState> restore_;
 };
 
-/// Run-scoped recovery state shared across re-execution attempts: the
+/// Query-scoped recovery state shared across re-execution attempts: the
 /// durable checkpoint store plus one RecoveryNode per cluster node.
-/// Created by Cluster::Run when recovery is enabled and kept alive across
-/// attempts so a replay can read what the crashed attempt wrote.
+/// Owned by the QueryExecution of a recovering query (one-shot or
+/// served) and kept alive across attempts so a replay can read what the
+/// crashed attempt wrote.
 class RecoveryRuntime {
  public:
-  /// `every_batches` is the resolved checkpoint cadence (0 = never);
-  /// `disk_factory` lets fault plans substitute failing or torn-write
-  /// checkpoint disks for targeted nodes.
+  /// `every_batches` is the resolved checkpoint cadence (0 = never). The
+  /// checkpoint disks are plain SimDisks unless `plan` targets a node's
+  /// checkpoint disk with disk-fail or torn-write.
   RecoveryRuntime(int num_nodes, int page_size, int64_t every_batches,
-                  CheckpointStore::DiskFactory disk_factory = {});
+                  const FaultPlan& plan);
 
   RecoveryRuntime(const RecoveryRuntime&) = delete;
   RecoveryRuntime& operator=(const RecoveryRuntime&) = delete;
@@ -94,14 +95,6 @@ class RecoveryRuntime {
   CheckpointStore store_;
   std::vector<RecoveryNode> nodes_;
 };
-
-/// Builds the checkpoint-disk factory for a run: plain SimDisks unless
-/// the fault plan targets a node's checkpoint disk with disk-fail or
-/// torn-write. Both executors (Cluster::Run and the serving layer's
-/// sessions) build their RecoveryRuntime through this, so storage-fault
-/// semantics are identical everywhere.
-CheckpointStore::DiskFactory MakeCheckpointDiskFactory(const FaultPlan& plan,
-                                                       int page_size);
 
 }  // namespace adaptagg
 

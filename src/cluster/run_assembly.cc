@@ -1,9 +1,12 @@
 #include "cluster/run_assembly.h"
 
+#include <algorithm>
 #include <iterator>
 #include <string>
 
 #include "exec/expression.h"
+#include "model/recovery_model.h"
+#include "net/fault.h"
 #include "obs/trace_recorder.h"
 
 namespace adaptagg {
@@ -19,8 +22,27 @@ int RootCauseRank(const Status& st) {
   return 2;
 }
 
-}  // namespace
+/// The run's root cause among the per-node statuses: a node that failed
+/// on its own (an injected fault most of all) beats one that timed out
+/// detecting the failure, which beats one that merely observed a peer's
+/// abort. OK when every node succeeded.
+Status PickRootCause(const std::vector<Status>& statuses) {
+  Status cause;  // OK unless some node failed
+  int best_rank = -1;
+  for (size_t i = 0; i < statuses.size(); ++i) {
+    const Status& st = statuses[i];
+    if (st.ok()) continue;
+    const int rank = RootCauseRank(st);
+    if (rank > best_rank) {
+      best_rank = rank;
+      cause =
+          Status(st.code(), "node " + std::to_string(i) + ": " + st.message());
+    }
+  }
+  return cause;
+}
 
+/// Routes a FaultyTransport's fire events into the node's obs shard.
 FaultObserver MakeFaultObserver(NodeObs* obs) {
   return [obs](const FaultEvent& e) {
     switch (e.kind) {
@@ -47,6 +69,8 @@ FaultObserver MakeFaultObserver(NodeObs* obs) {
   };
 }
 
+}  // namespace
+
 Status ValidateRunOptions(const AggregationSpec& spec,
                           const AlgorithmOptions& options) {
   if (options.where != nullptr) {
@@ -60,66 +84,183 @@ Status ValidateRunOptions(const AggregationSpec& spec,
   return Status::OK();
 }
 
-void FailureFanout::OnNodeFailure(NodeContext& ctx) {
-  const double now = WallSeconds();
-  bool expected = false;
-  if (failure_seen_.compare_exchange_strong(expected, true)) {
-    first_failure_wall_.store(now, std::memory_order_release);
-  } else {
-    ctx.obs().fault_abort_latency_us.Observe(
-        (now - first_failure_wall_.load(std::memory_order_acquire)) * 1e6);
+QueryExecution::QueryExecution(const SystemParams& params,
+                               const AggregationSpec& spec,
+                               AlgorithmOptions options,
+                               const Algorithm& algo)
+    : params_(params),
+      spec_(spec),
+      options_(std::move(options)),
+      algo_(algo),
+      query_id_(options_.query_id),
+      wall_epoch_s_(WallSeconds()) {
+  if (!options_.recovery.enabled) return;
+  // The checkpoint store outlives the attempts so a replay can read what
+  // the crashed attempt wrote; its disks are private to the store, so
+  // checkpoint I/O never perturbs the modeled node disks.
+  ckpt_every_ = options_.recovery.checkpoint_every_batches;
+  if (ckpt_every_ < 0) {
+    const int64_t est_groups = options_.max_hash_entries > 0
+                                   ? options_.max_hash_entries
+                                   : params_.max_hash_entries;
+    ckpt_every_ =
+        DecideCheckpointInterval(params_, est_groups, spec_.partial_width())
+            .every_batches;
   }
-  Message abort;
-  abort.type = MessageType::kAbort;
-  for (int dest = 0; dest < ctx.num_nodes(); ++dest) {
-    if (dest != ctx.node_id()) (void)ctx.Send(dest, abort);
-  }
+  recovery_ = std::make_unique<RecoveryRuntime>(
+      params_.num_nodes, static_cast<int>(params_.page_bytes), ckpt_every_,
+      options_.fault_plan);
 }
 
-Status PickRootCause(const std::vector<Status>& statuses) {
-  Status cause;  // OK unless some node failed
-  int best_rank = -1;
-  for (size_t i = 0; i < statuses.size(); ++i) {
-    const Status& st = statuses[i];
-    if (st.ok()) continue;
-    const int rank = RootCauseRank(st);
-    if (rank > best_rank) {
-      best_rank = rank;
-      cause =
-          Status(st.code(), "node " + std::to_string(i) + ": " + st.message());
+void QueryExecution::BeginAttempt(
+    std::vector<std::unique_ptr<Transport>> transports,
+    const std::vector<NodeStorage>& storage, uint32_t wire_query_id,
+    uint32_t epoch) {
+  ++attempt_;
+  const int n = params_.num_nodes;
+  options_.query_id = wire_query_id;
+  options_.epoch = epoch;
+
+  // Fault injection wraps each endpoint in a decorator only when the
+  // plan is non-empty: fault-free runs keep the raw transports and the
+  // exact message flow of builds without this subsystem.
+  const bool inject_faults = !options_.fault_plan.empty();
+  if (inject_faults) {
+    for (auto& t : transports) {
+      t = std::make_unique<FaultyTransport>(std::move(t),
+                                            options_.fault_plan);
     }
   }
-  return cause;
+  transports_ = std::move(transports);
+  net_ = std::make_unique<NetworkModel>(params_);
+  gathered_ = std::make_unique<GatherSink>();
+
+  contexts_.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const NodeStorage& s = storage[static_cast<size_t>(i)];
+    Transport* transport = transports_[static_cast<size_t>(i)].get();
+    contexts_.push_back(std::make_unique<NodeContext>(
+        i, params_, spec_, options_, s.partition, s.disk, transport,
+        net_.get(), wall_epoch_s_));
+    NodeContext& ctx = *contexts_.back();
+    ctx.SetGather(gathered_.get());
+    if (recovery_ != nullptr) ctx.SetRecovery(&recovery_->node(i));
+    if (inject_faults) {
+      static_cast<FaultyTransport*>(transport)->set_observer(
+          MakeFaultObserver(&ctx.obs()));
+    }
+  }
+
+  if (recovery_ != nullptr) {
+    // Wall-clock-only decision: recorded as an instant, charged to no
+    // clock, so the modeled plan is identical with recovery on or off.
+    contexts_.front()->obs().RecordDecision(
+        "recovery.checkpoint_interval",
+        {{"every_batches", ckpt_every_}, {"attempt", attempt_}});
+  }
+
+  statuses_.assign(static_cast<size_t>(n), Status());
+  failure_seen_.store(false, std::memory_order_relaxed);
+  nodes_remaining_.store(n, std::memory_order_release);
+  attempt_start_s_ = WallSeconds();
 }
 
-void FinalizeRunResult(std::vector<std::unique_ptr<NodeContext>>& contexts,
-                       NetworkModel& net, GatherSink& gathered,
-                       const AggregationSpec& spec, RunResult& result) {
-  const int n = static_cast<int>(contexts.size());
+bool QueryExecution::RunNode(int i) {
+  NodeContext& ctx = *contexts_[static_cast<size_t>(i)];
+  Status st = algo_.RunNode(ctx);
+  if (!st.ok()) {
+    // The first failure pins the attempt's failure wall time; later ones
+    // observe their abort latency. The abort wakes every peer that may
+    // be blocked on this node's traffic; a node whose transport is in
+    // fail-stop mode reaches nobody, so its peers detect the silence.
+    const double now = WallSeconds();
+    bool expected = false;
+    if (failure_seen_.compare_exchange_strong(expected, true)) {
+      first_failure_wall_.store(now, std::memory_order_release);
+    } else {
+      ctx.obs().fault_abort_latency_us.Observe(
+          (now - first_failure_wall_.load(std::memory_order_acquire)) * 1e6);
+    }
+    Message abort;
+    abort.type = MessageType::kAbort;
+    for (int dest = 0; dest < ctx.num_nodes(); ++dest) {
+      if (dest != i) (void)ctx.Send(dest, abort);
+    }
+  }
+  statuses_[static_cast<size_t>(i)] = std::move(st);
+  if (nodes_remaining_.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+    return false;
+  }
+  attempt_wall_s_.push_back(WallSeconds() - attempt_start_s_);
+  return true;
+}
+
+bool QueryExecution::PrepareReplay() {
+  // Retry only injected-crash failures; any other error (a real abort,
+  // a timeout with no crash, data loss) keeps the clean-abort path.
+  if (recovery_ == nullptr || attempt_ >= kMaxRecoveryAttempts) return false;
+  if (PickRootCause(statuses_).ok()) return false;
+  bool any_crashed = false;
+  for (const auto& ctx : contexts_) any_crashed |= ctx->crashed();
+  if (!any_crashed) return false;
+  // Consume the crash specs that fired — the first matching spec per
+  // crashed node, mirroring CrashForNode.
+  auto& fs = options_.fault_plan.faults;
+  for (const auto& ctx : contexts_) {
+    if (!ctx->crashed()) continue;
+    auto it = std::find_if(fs.begin(), fs.end(), [&](const FaultSpec& f) {
+      return f.kind == FaultKind::kCrash && f.node == ctx->node_id();
+    });
+    if (it != fs.end()) fs.erase(it);
+  }
+  // The crashed attempt is over: release its contexts before its
+  // transports, and both before the caller builds the next attempt's.
+  contexts_.clear();
+  transports_.clear();
+  return true;
+}
+
+RunResult QueryExecution::Finish() {
+  RunResult result;
+  result.query_id = query_id_;
+  result.wall_time_s = WallSeconds() - wall_epoch_s_;
+  result.status = PickRootCause(statuses_);
+
+  // Surface the recovery story on the coordinator's shard (only the
+  // final attempt's shards reach the merged snapshot).
+  if (recovery_ != nullptr) {
+    NodeObs& obs = contexts_.front()->obs();
+    obs.recovery_attempts.Add(attempt_ - 1);
+    for (double s : attempt_wall_s_) {
+      obs.recovery_attempt_wall_us.Observe(s * 1e6);
+    }
+  }
+
+  const int n = static_cast<int>(contexts_.size());
   result.num_nodes = n;
   result.clocks.reserve(static_cast<size_t>(n));
   result.node_stats.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    NodeContext& ctx = *contexts[static_cast<size_t>(i)];
-    result.sim_time_s = std::max(result.sim_time_s, ctx.clock().now());
-    result.clocks.push_back(ctx.clock());
-    result.node_stats.push_back(ctx.stats());
+  for (const auto& ctx : contexts_) {
+    result.sim_time_s = std::max(result.sim_time_s, ctx->clock().now());
+    result.clocks.push_back(ctx->clock());
+    result.node_stats.push_back(ctx->stats());
     // Fold stat-tracked values into the shard, then merge shards in node
     // order (Merge is commutative, so the order is cosmetic).
-    ctx.FinalizeObs();
-    result.metrics.Merge(ctx.obs().Snapshot());
-    std::vector<TraceEvent> node_events = ctx.obs().trace().TakeEvents();
+    ctx->FinalizeObs();
+    result.metrics.Merge(ctx->obs().Snapshot());
+    std::vector<TraceEvent> node_events = ctx->obs().trace().TakeEvents();
     result.trace_events.insert(result.trace_events.end(),
                                std::make_move_iterator(node_events.begin()),
                                std::make_move_iterator(node_events.end()));
   }
   // On the shared medium, the wire is a sequential resource whose total
   // occupancy adds to the completion time (§2's no-overlap model).
-  result.wire_time_s = net.serialized_wire_s();
+  result.wire_time_s = net_->serialized_wire_s();
   result.sim_time_s += result.wire_time_s;
 
-  result.results.schema = spec.final_schema();
-  result.results.rows = gathered.TakeRows();
+  result.results.schema = spec_.final_schema();
+  result.results.rows = gathered_->TakeRows();
+  return result;
 }
 
 }  // namespace adaptagg

@@ -24,7 +24,7 @@ class AdaptiveRepartitioning : public Algorithm {
     const int n = ctx.num_nodes();
 
     SpillingAggregator global(&spec, ctx.disk(), ctx.max_hash_entries(),
-                              ctx.options().spill_fanout,
+                              kSpillFanout,
                               "garep_n" + std::to_string(ctx.node_id()));
     DataReceiver recv(&ctx, &global, n);
     Exchange ex_partial(&ctx, MessageType::kPartialPage,

@@ -33,7 +33,7 @@ class AdaptiveTwoPhase : public Algorithm {
         rec != nullptr ? rec->restore() : nullptr;
 
     SpillingAggregator global(&spec, ctx.disk(), ctx.max_hash_entries(),
-                              ctx.options().spill_fanout,
+                              kSpillFanout,
                               "ga2p_n" + std::to_string(ctx.node_id()));
     DataReceiver recv(&ctx, &global, n);
     if (restore != nullptr) {

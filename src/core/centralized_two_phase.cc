@@ -20,7 +20,7 @@ class CentralizedTwoPhase : public Algorithm {
 
     // Only the coordinator merges; workers expect no incoming traffic.
     SpillingAggregator global(&spec, ctx.disk(), ctx.max_hash_entries(),
-                              ctx.options().spill_fanout,
+                              kSpillFanout,
                               "gc2p_n" + std::to_string(ctx.node_id()));
     DataReceiver recv(&ctx, &global, ctx.is_coordinator() ? n : 0);
     Exchange ex(&ctx, MessageType::kPartialPage, spec.partial_width(),
@@ -28,7 +28,7 @@ class CentralizedTwoPhase : public Algorithm {
 
     // Phase 1: local aggregation.
     SpillingAggregator local(&spec, ctx.disk(), ctx.max_hash_entries(),
-                             ctx.options().spill_fanout,
+                             kSpillFanout,
                              "lc2p_n" + std::to_string(ctx.node_id()));
     {
       ADAPTAGG_RETURN_IF_ERROR(ctx.EnterPhase("scan"));

@@ -22,7 +22,7 @@ class GraefeTwoPhase : public Algorithm {
     const int n = ctx.num_nodes();
 
     SpillingAggregator global(&spec, ctx.disk(), ctx.max_hash_entries(),
-                              ctx.options().spill_fanout,
+                              kSpillFanout,
                               "ggra_n" + std::to_string(ctx.node_id()));
     DataReceiver recv(&ctx, &global, n);
     Exchange ex_partial(&ctx, MessageType::kPartialPage,

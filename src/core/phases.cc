@@ -219,7 +219,7 @@ Status RunTwoPhaseBody(NodeContext& ctx) {
   const CheckpointState* restore = rec != nullptr ? rec->restore() : nullptr;
 
   SpillingAggregator global(&spec, ctx.disk(), ctx.max_hash_entries(),
-                            ctx.options().spill_fanout,
+                            kSpillFanout,
                             "g2p_n" + std::to_string(ctx.node_id()));
   DataReceiver recv(&ctx, &global, n);
   Exchange ex(&ctx, MessageType::kPartialPage, spec.partial_width(),
@@ -227,7 +227,7 @@ Status RunTwoPhaseBody(NodeContext& ctx) {
 
   // Phase 1: aggregate the local partition.
   SpillingAggregator local(&spec, ctx.disk(), ctx.max_hash_entries(),
-                           ctx.options().spill_fanout,
+                           kSpillFanout,
                            "l2p_n" + std::to_string(ctx.node_id()));
   if (restore != nullptr) {
     ADAPTAGG_RETURN_IF_ERROR(global.RestoreFrom(
@@ -332,7 +332,7 @@ Status RunRepartitioningBody(NodeContext& ctx) {
   const CheckpointState* restore = rec != nullptr ? rec->restore() : nullptr;
 
   SpillingAggregator global(&spec, ctx.disk(), ctx.max_hash_entries(),
-                            ctx.options().spill_fanout,
+                            kSpillFanout,
                             "grep_n" + std::to_string(ctx.node_id()));
   DataReceiver recv(&ctx, &global, n);
   if (restore != nullptr) {

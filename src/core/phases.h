@@ -17,6 +17,10 @@ namespace adaptagg {
 inline constexpr uint32_t kPhaseSample = 0;
 inline constexpr uint32_t kPhaseData = 1;
 
+/// Overflow buckets per spill level of every algorithm's aggregation
+/// tables.
+inline constexpr int kSpillFanout = 8;
+
 /// How often scanning loops service their inbox (tuples between polls).
 /// Polling while producing is what lets Adaptive Repartitioning react to
 /// end-of-phase messages mid-scan, and keeps inbox queues short.

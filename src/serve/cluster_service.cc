@@ -1,13 +1,9 @@
 #include "serve/cluster_service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
-#include "cluster/recovery.h"
 #include "core/algorithm.h"
-#include "model/recovery_model.h"
-#include "net/fault.h"
 #include "obs/trace_recorder.h"
 
 namespace adaptagg {
@@ -42,10 +38,10 @@ void QueryTicket::Complete(RunResult result, double wall_s) {
 // ---------------------------------------------------------------------------
 // Internal session state
 
-/// One admitted query's execution state: its namespaced exchange
-/// endpoints, per-node scoped disks and partition views, contexts, and
-/// completion bookkeeping. Owned by the service's active_ map from
-/// admission until the last node finishes.
+/// One admitted query's execution state: its QueryExecution plus the
+/// current attempt's router session id, scoped disks and partition
+/// views. Owned by the service's active_ map from admission until the
+/// last node finishes.
 struct ClusterService::Session {
   uint32_t query_id = 0;
   ServeQuery q;
@@ -60,30 +56,20 @@ struct ClusterService::Session {
   std::string fingerprint;
   int64_t est_bytes = 0;
 
-  /// Fault-recovery bookkeeping: 1-based execution attempt, the
-  /// resolved checkpoint cadence, and the session-lifetime recovery
-  /// runtime whose checkpoint store survives across attempts.
-  int attempt = 1;
-  int64_t ckpt_every = 0;
-  std::unique_ptr<RecoveryRuntime> recovery;
-
   QueryTicketPtr ticket;
 
-  // Per-attempt execution state: rebuilt by StartAttempt so a replay
-  // runs on fresh endpoints, sinks, and contexts.
-  std::vector<std::unique_ptr<Transport>> transports;
-  /// Per-node Disk views: shared base data, session-private stats, so
-  /// each session's modeled I/O time is byte-identical to a solo run.
+  /// Router session id of the current attempt: the ticket's query_id
+  /// first, a fresh id on each replay.
+  uint32_t wire_query_id = 0;
+  /// Per-node Disk views of the current attempt: shared base data,
+  /// session-private stats, so each session's modeled I/O time is
+  /// byte-identical to a solo run.
   std::vector<std::unique_ptr<ScopedDisk>> disks;
   /// Read-only partition views bound to the scoped disks.
   std::vector<std::unique_ptr<HeapFile>> partitions;
-  std::unique_ptr<NetworkModel> net;
-  std::unique_ptr<GatherSink> gathered;
-  std::vector<std::unique_ptr<NodeContext>> contexts;
-  std::vector<Status> statuses;
-  std::unique_ptr<FailureFanout> fanout;
-  std::atomic<int> nodes_remaining{0};
-  std::chrono::steady_clock::time_point wall_start;
+  /// Built on admission; owns the attempt loop and recovery runtime.
+  /// Declared last: its node contexts reference the views above.
+  std::unique_ptr<QueryExecution> exec;
 };
 
 /// One node's work feed: admitted sessions enqueue one task per node;
@@ -322,48 +308,15 @@ Result<QueryTicketPtr> ClusterService::Submit(ServeQuery query) {
 void ClusterService::Activate(Session* s) {
   admitted_.Increment();
   inflight_high_water_.UpdateMax(scheduler_.inflight_high_water());
-
-  // Resolve the recovery configuration once per session, as in
-  // Cluster::Run; the checkpoint store lives on the session so a replay
-  // attempt reads what the crashed attempt wrote.
-  if (s->q.options.recovery.enabled) {
-    s->ckpt_every = s->q.options.recovery.checkpoint_every_batches;
-    if (s->ckpt_every < 0) {
-      const int64_t est_groups = s->q.options.max_hash_entries > 0
-                                     ? s->q.options.max_hash_entries
-                                     : config_.params.max_hash_entries;
-      s->ckpt_every = DecideCheckpointInterval(config_.params, est_groups,
-                                               s->q.spec.partial_width())
-                          .every_batches;
-    }
-    s->recovery = std::make_unique<RecoveryRuntime>(
-        config_.params.num_nodes, static_cast<int>(config_.params.page_bytes),
-        s->ckpt_every,
-        MakeCheckpointDiskFactory(
-            s->q.options.fault_plan,
-            static_cast<int>(config_.params.page_bytes)));
-  }
-
+  s->exec = std::make_unique<QueryExecution>(config_.params, s->q.spec,
+                                             s->q.options, *s->algo);
+  s->wire_query_id = s->query_id;
   StartAttempt(s);
 }
 
 void ClusterService::StartAttempt(Session* s) {
-  // Sessions execute at the current membership epoch; frames a retired
-  // pre-resize plane might have left behind carry an older epoch and
-  // are dropped on admission.
-  s->q.options.epoch = membership_epoch_;
-  // A replay runs under a fresh wire-level query id: the crashed
-  // attempt's in-flight frames (partial pages, its abort broadcast)
-  // still carry the old id through the shared mesh, and the router must
-  // drop them as late instead of feeding them into the new attempt.
-  // The ticket keeps the original query_id.
-  if (s->attempt > 1) {
-    s->q.options.query_id =
-        next_query_id_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   Result<std::vector<std::unique_ptr<Transport>>> endpoints =
-      router_->OpenSession(s->q.options.query_id);
+      router_->OpenSession(s->wire_query_id);
   if (!endpoints.ok()) {
     scheduler_.Release(s->est_bytes);
     RunResult result;
@@ -375,63 +328,23 @@ void ClusterService::StartAttempt(Session* s) {
     ticket->Complete(std::move(result), WallSeconds());
     return;
   }
-  s->transports = std::move(*endpoints);
 
   const int n = config_.params.num_nodes;
-  const bool inject_faults = !s->q.options.fault_plan.empty();
-  if (inject_faults) {
-    for (int i = 0; i < n; ++i) {
-      s->transports[static_cast<size_t>(i)] =
-          std::make_unique<FaultyTransport>(
-              std::move(s->transports[static_cast<size_t>(i)]),
-              s->q.options.fault_plan);
-    }
-  }
-
-  s->net = std::make_unique<NetworkModel>(config_.params);
-  s->gathered = std::make_unique<GatherSink>();
-  s->fanout = std::make_unique<FailureFanout>();
-  // One wall epoch per attempt, as in Cluster::Run, so its nodes' trace
-  // wall timelines share an origin.
-  const double wall_epoch_s = WallSeconds();
-  s->disks.clear();
   s->partitions.clear();
-  s->contexts.clear();
-  s->disks.reserve(static_cast<size_t>(n));
-  s->partitions.reserve(static_cast<size_t>(n));
-  s->contexts.reserve(static_cast<size_t>(n));
+  s->disks.clear();
+  std::vector<QueryExecution::NodeStorage> storage;
+  storage.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     s->disks.push_back(std::make_unique<ScopedDisk>(&rel_->disk(i)));
     s->partitions.push_back(std::make_unique<HeapFile>(
         HeapFile::View(s->disks.back().get(), rel_->partition(i))));
-    s->contexts.push_back(std::make_unique<NodeContext>(
-        i, config_.params, s->q.spec, s->q.options,
-        s->partitions.back().get(), s->disks.back().get(),
-        s->transports[static_cast<size_t>(i)].get(), s->net.get(),
-        wall_epoch_s));
-    s->contexts.back()->SetGather(s->gathered.get());
-    if (s->recovery != nullptr) {
-      s->contexts.back()->SetRecovery(&s->recovery->node(i));
-    }
-    if (inject_faults) {
-      static_cast<FaultyTransport*>(
-          s->transports[static_cast<size_t>(i)].get())
-          ->set_observer(MakeFaultObserver(&s->contexts.back()->obs()));
-    }
+    storage.push_back({s->partitions.back().get(), s->disks.back().get()});
   }
-  if (s->recovery != nullptr) {
-    s->contexts.front()->obs().RecordDecision(
-        "recovery.checkpoint_interval",
-        {{"every_batches", s->ckpt_every},
-         {"max_attempts",
-          static_cast<int64_t>(
-              std::max(1, s->q.options.recovery.max_attempts))},
-         {"attempt", static_cast<int64_t>(s->attempt)}});
-  }
-
-  s->statuses.assign(static_cast<size_t>(n), Status());
-  s->nodes_remaining.store(n, std::memory_order_release);
-  if (s->attempt == 1) s->wall_start = std::chrono::steady_clock::now();
+  // Sessions execute at the current membership epoch; frames a retired
+  // pre-resize plane might have left behind carry an older epoch and
+  // are dropped on admission.
+  s->exec->BeginAttempt(std::move(*endpoints), storage, s->wire_query_id,
+                        membership_epoch_);
   for (int i = 0; i < n; ++i) {
     task_queues_[static_cast<size_t>(i)]->Push({s, i});
   }
@@ -441,67 +354,29 @@ void ClusterService::WorkerLoop(int node) {
   NodeTaskQueue& queue = *task_queues_[static_cast<size_t>(node)];
   NodeTaskQueue::Task task;
   while (queue.Pop(&task)) {
-    Session& s = *task.session;
-    NodeContext& ctx = *s.contexts[static_cast<size_t>(node)];
-    Status st = s.algo->RunNode(ctx);
-    if (!st.ok()) s.fanout->OnNodeFailure(ctx);
-    s.statuses[static_cast<size_t>(node)] = st;
-    // The last node to finish assembles the session's result; the
-    // acq_rel fence makes every node's writes visible to it.
-    if (s.nodes_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      FinishSession(&s);
-    }
+    // The last node to finish the attempt replays or completes it.
+    if (task.session->exec->RunNode(node)) FinishSession(task.session);
   }
   alive_workers_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void ClusterService::FinishSession(Session* s) {
-  const auto wall_end = std::chrono::steady_clock::now();
-  Status root = PickRootCause(s->statuses);
-
-  // Survivor re-execution: an injected-crash failure earns a replay on
-  // fresh endpoints, restoring each node from its latest checkpoint.
-  // Any other error (a real abort, a timeout with no crash) keeps the
-  // clean-abort path.
-  if (!root.ok() && s->recovery != nullptr &&
-      s->attempt < std::max(1, s->q.options.recovery.max_attempts)) {
-    bool any_crashed = false;
-    for (const auto& ctx : s->contexts) any_crashed |= ctx->crashed();
-    if (any_crashed) {
-      replays_.Increment();
-      // Consume the crash specs that fired — first matching spec per
-      // crashed node, mirroring CrashForNode — so the replay does not
-      // re-crash and a double-crash plan terminates.
-      auto& fs = s->q.options.fault_plan.faults;
-      for (size_t i = 0; i < s->contexts.size(); ++i) {
-        if (!s->contexts[i]->crashed()) continue;
-        for (auto it = fs.begin(); it != fs.end(); ++it) {
-          if (it->kind == FaultKind::kCrash &&
-              it->node == static_cast<int>(i)) {
-            fs.erase(it);
-            break;
-          }
-        }
-      }
-      router_->CloseSession(s->q.options.query_id);
-      ++s->attempt;
-      MutexLock lock(&mu_);
-      StartAttempt(s);
-      return;
-    }
+  router_->CloseSession(s->wire_query_id);
+  // Survivor re-execution: an injected-crash failure earns a replay,
+  // restoring each node from its latest checkpoint. It runs under a
+  // fresh wire-level query id: the crashed attempt's in-flight frames
+  // (partial pages, its abort broadcast) still carry the old id through
+  // the shared mesh, and the router must drop them as late instead of
+  // feeding them into the new attempt. The ticket keeps its query_id.
+  if (s->exec->PrepareReplay()) {
+    replays_.Increment();
+    s->wire_query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
+    MutexLock lock(&mu_);
+    StartAttempt(s);
+    return;
   }
 
-  RunResult result;
-  result.query_id = s->query_id;
-  result.wall_time_s =
-      std::chrono::duration<double>(wall_end - s->wall_start).count();
-  result.status = root;
-  if (s->recovery != nullptr) {
-    s->contexts.front()->obs().recovery_attempts.Add(s->attempt - 1);
-  }
-  FinalizeRunResult(s->contexts, *s->net, *s->gathered, s->q.spec, result);
-  router_->CloseSession(s->q.options.query_id);
-
+  RunResult result = s->exec->Finish();
   if (result.status.ok()) {
     completed_.Increment();
     // Cache only when the relation hasn't moved under the run: a

@@ -159,14 +159,14 @@ class ClusterService {
                  Cluster::TransportFactory mesh_factory,
                  std::vector<std::unique_ptr<Transport>> mesh);
 
-  /// Admission-time setup (metrics, recovery runtime) followed by the
-  /// first StartAttempt.
+  /// Admission-time setup (metrics, the session's QueryExecution)
+  /// followed by the first StartAttempt.
   void Activate(Session* session) ADAPTAGG_REQUIRES(mu_);
 
-  /// Builds one execution attempt's per-node state (router endpoints,
-  /// scoped disks, partition views, contexts, gather sink) and enqueues
-  /// one task per node onto the worker pools. Called by Activate for
-  /// attempt 1 and by FinishSession's replay branch after a crash.
+  /// Opens the attempt's router endpoints and scoped disks, begins the
+  /// attempt on the session's QueryExecution, and enqueues one task per
+  /// node onto the worker pools. Called by Activate for attempt 1 and by
+  /// FinishSession's replay branch after a crash.
   void StartAttempt(Session* session) ADAPTAGG_REQUIRES(mu_);
 
   /// Pumps queued submissions in FIFO order while capacity lasts (and
@@ -175,9 +175,10 @@ class ClusterService {
 
   void WorkerLoop(int node);
 
-  /// Last node's finisher: assembles the RunResult, feeds the cache,
-  /// releases the admission reservation, pumps the pending queue, and
-  /// completes the ticket.
+  /// Last node's finisher: starts a replay when the QueryExecution asks
+  /// for one; otherwise takes its RunResult, feeds the cache, releases
+  /// the admission reservation, pumps the pending queue, and completes
+  /// the ticket.
   void FinishSession(Session* session);
 
   ServiceConfig config_;

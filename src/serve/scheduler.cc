@@ -11,15 +11,7 @@ int64_t EstimateQueryMemoryBytes(const AggregationSpec& spec,
                                                  : params.max_hash_entries;
   const int64_t per_entry = spec.partial_width() + 16;
   const int64_t n = params.num_nodes;
-  const int64_t g = options.estimated_groups;
-  if (g <= 0) return 2 * m * per_entry * n;
-  // With a group estimate the bound tightens: the local phase holds at
-  // most min(M, G) groups and the merge phase at most this node's share
-  // of the global groups. Still an upper bound (both terms <= M, so the
-  // estimate never exceeds the blind 2*M reservation).
-  const int64_t local_entries = std::min(m, g);
-  const int64_t merge_entries = std::min(m, g / n + 1);
-  return (local_entries + merge_entries) * per_entry * n;
+  return 2 * m * per_entry * n;
 }
 
 Scheduler::Decision Scheduler::Offer(int64_t bytes, int queued_now) const {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <chrono>
+
+#include "common/mutex.h"
 #include "core/phases.h"
 #include "test_util.h"
 
@@ -133,6 +137,78 @@ TEST(AdaptiveRepartitioning, SwitchesToTwoPhaseWhenGroupsAreFew) {
   }
 }
 
+/// Per-follower latch that opens once node 0 has sent that follower its
+/// end-of-phase message.
+class EndOfPhaseGate {
+ public:
+  void Open(int node) ADAPTAGG_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    open_[static_cast<size_t>(node)] = true;
+    cv_.NotifyAll();
+  }
+
+  /// Blocks until `node`'s latch opens, for at most 30 s so a regression
+  /// that never sends end-of-phase fails the test instead of hanging it.
+  void AwaitOpen(int node) ADAPTAGG_EXCLUDES(mu_) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    MutexLock lock(&mu_);
+    while (!open_[static_cast<size_t>(node)]) {
+      if (!cv_.WaitUntil(mu_, deadline)) return;
+    }
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  std::array<bool, 4> open_ ADAPTAGG_GUARDED_BY(mu_) = {};
+};
+
+/// Holds a follower's first inbox poll until node 0's end-of-phase is in
+/// that inbox, so the message always lands mid-scan. Sends never block
+/// on a receiver, so node 0 reaches its own decision unhindered.
+class GatedTransport : public Transport {
+ public:
+  GatedTransport(std::unique_ptr<Transport> inner, EndOfPhaseGate* gate)
+      : inner_(std::move(inner)), gate_(gate) {}
+
+  int node_id() const override { return inner_->node_id(); }
+  int num_nodes() const override { return inner_->num_nodes(); }
+  Status Send(int to, Message msg) override {
+    const bool eop =
+        node_id() == 0 && msg.type == MessageType::kEndOfPhase;
+    Status st = inner_->Send(to, std::move(msg));
+    if (eop) gate_->Open(to);
+    return st;
+  }
+  Result<Message> Recv() override {
+    AwaitGate();
+    return inner_->Recv();
+  }
+  Result<Message> RecvWithDeadline(double timeout_s) override {
+    AwaitGate();
+    return inner_->RecvWithDeadline(timeout_s);
+  }
+  std::optional<Message> TryRecv() override {
+    AwaitGate();
+    return inner_->TryRecv();
+  }
+  size_t inbox_high_water() const override {
+    return inner_->inbox_high_water();
+  }
+
+ private:
+  void AwaitGate() {
+    if (node_id() == 0 || passed_) return;
+    gate_->AwaitOpen(node_id());
+    passed_ = true;
+  }
+
+  std::unique_ptr<Transport> inner_;
+  EndOfPhaseGate* gate_;
+  bool passed_ = false;
+};
+
 TEST(AdaptiveRepartitioning, EndOfPhasePropagatesAcrossNodes) {
   // Give only node 0 few groups locally (the others would not switch on
   // their own within init_seg); node 0's end-of-phase must pull the
@@ -157,6 +233,17 @@ TEST(AdaptiveRepartitioning, EndOfPhasePropagatesAcrossNodes) {
 
   SystemParams params = SmallClusterParams(4, 4 * per_node, 8'000);
   Cluster cluster(params);
+  // Unsynchronized, a follower could scan all of its input before node 0
+  // reaches its decision; the gate pins the message inside the scan.
+  EndOfPhaseGate gate;
+  cluster.set_transport_factory(
+      [&gate](int n) -> Result<std::vector<std::unique_ptr<Transport>>> {
+        std::vector<std::unique_ptr<Transport>> mesh = MakeInprocMesh(n);
+        for (auto& t : mesh) {
+          t = std::make_unique<GatedTransport>(std::move(t), &gate);
+        }
+        return mesh;
+      });
   AlgorithmOptions opts;
   opts.init_seg = 500;
   opts.few_groups_threshold = 100;

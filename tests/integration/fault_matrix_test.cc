@@ -203,6 +203,7 @@ class RecoveryMatrixTest : public ::testing::Test {
           ASSERT_OK(run.status);
           EXPECT_TRUE(ResultSetsEqual(run.results, expected));
           EXPECT_EQ(run.metrics.Value("recovery.attempts"), 1);
+          EXPECT_EQ(run.metrics.Value("recovery.attempt_wall_us"), 2);
         }
       }
     }
@@ -232,7 +233,6 @@ TEST_F(RecoveryMatrixTest, DoubleCrashSameNodeRecoversTwice) {
   opts.failure.recv_idle_timeout_s = 2.0;
   opts.recovery.enabled = true;
   opts.recovery.checkpoint_every_batches = 4;
-  opts.recovery.max_attempts = 3;
 
   Cluster cluster(SmallClusterParams(3, wspec.num_tuples, 256));
   RunResult run = cluster.Run(
@@ -240,6 +240,7 @@ TEST_F(RecoveryMatrixTest, DoubleCrashSameNodeRecoversTwice) {
   ASSERT_OK(run.status);
   EXPECT_TRUE(ResultSetsEqual(run.results, expected));
   EXPECT_EQ(run.metrics.Value("recovery.attempts"), 2);
+  EXPECT_EQ(run.metrics.Value("recovery.attempt_wall_us"), 3);
 }
 
 TEST_F(RecoveryMatrixTest, TwoNodesCrashingTogetherRecoverInOneReplay) {

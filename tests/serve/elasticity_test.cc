@@ -134,6 +134,7 @@ TEST(Elasticity, CrashedSessionReplaysInsideTheService) {
   ASSERT_OK(run.status);
   EXPECT_TRUE(ResultSetsEqual(run.results, expected));
   EXPECT_EQ(run.metrics.Value("recovery.attempts"), 1);
+  EXPECT_EQ(run.metrics.Value("recovery.attempt_wall_us"), 2);
 
   MetricsSnapshot metrics = service->Metrics();
   EXPECT_GE(metrics.Value("serve.recovery.replays"), 1);

@@ -137,17 +137,14 @@ constexpr AllowlistEntry kAllowlist[] = {
     {"D1", "src/cluster/node_context.cc",
      "heartbeat and peer-liveness deadlines are wall time by design: "
      "failure detection watches the real world, not the model"},
-    {"D1", "src/cluster/cluster.cc",
-     "measures run wall time and fixes the cluster-wide trace wall "
-     "epoch; reported beside, never inside, simulated time"},
     {"D1", "src/cluster/run_assembly.cc",
-     "stamps the wall time of a run's first node failure so abort "
-     "latency is measurable; reported beside, never inside, simulated "
-     "time"},
+     "measures query and attempt wall time, fixes the query's trace "
+     "wall epoch, and stamps the first node failure so abort latency is "
+     "measurable; reported beside, never inside, simulated time"},
     {"D1", "src/serve/cluster_service.cc",
-     "serving latency (submit-to-complete) and per-session trace "
-     "epochs are wall time by definition; modeled per-query time still "
-     "comes only off each session's CostClocks"},
+     "serving latency (submit-to-complete) is wall time by definition; "
+     "modeled per-query time still comes only off each session's "
+     "CostClocks"},
     {"D3", "src/agg/reference.cc",
      "the oracle accumulates into an unordered_map and sorts the "
      "result rows immediately after the loop"},
