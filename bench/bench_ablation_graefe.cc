@@ -10,7 +10,7 @@ namespace adaptagg {
 namespace bench {
 namespace {
 
-void Run() {
+Status Run() {
   const double scale = BenchScale();
   SystemParams params = SystemParams::Cluster8();
   params.num_tuples = static_cast<int64_t>(500'000 * scale);
@@ -33,9 +33,9 @@ void Run() {
     wspec.num_groups = groups;
     wspec.seed = 77 + static_cast<uint64_t>(groups);
     auto rel = GenerateRelation(wspec);
-    if (!rel.ok()) return;
+    if (!rel.ok()) return rel.status();
     auto spec = MakeBenchQuery(&rel->schema());
-    if (!spec.ok()) return;
+    if (!spec.ok()) return spec.status();
 
     AlgorithmOptions opts;
     opts.gather_results = false;
@@ -59,14 +59,13 @@ void Run() {
       "double-phase tax and frees the local table), which is the §3.2\n"
       "argument for preferring the adaptive switch over the\n"
       "forward-on-overflow optimization.\n");
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace adaptagg
 
-int main(int, char** argv) {
-  adaptagg::bench::SetBenchBinaryName(argv[0]);
-  adaptagg::bench::Run();
-  return 0;
+int main() {
+  return adaptagg::bench::BenchExitCode(adaptagg::bench::Run());
 }

@@ -11,7 +11,7 @@ namespace adaptagg {
 namespace bench {
 namespace {
 
-void Run() {
+Status Run() {
   const double scale = BenchScale();
   SystemParams params = SystemParams::Cluster8();
   params.network = NetworkKind::kHighBandwidth;  // isolate the I/O story
@@ -35,9 +35,9 @@ void Run() {
     wspec.num_groups = groups;
     wspec.seed = 55 + static_cast<uint64_t>(groups);
     auto rel = GenerateRelation(wspec);
-    if (!rel.ok()) return;
+    if (!rel.ok()) return rel.status();
     auto spec = MakeBenchQuery(&rel->schema());
-    if (!spec.ok()) return;
+    if (!spec.ok()) return spec.status();
 
     AlgorithmOptions opts;
     opts.gather_results = false;
@@ -45,10 +45,8 @@ void Run() {
         *MakeAlgorithm(AlgorithmKind::kTwoPhase), *spec, *rel, opts);
     RunResult sort = cluster.Run(
         *MakeAlgorithm(AlgorithmKind::kSortTwoPhase), *spec, *rel, opts);
-    if (!hash.status.ok() || !sort.status.ok()) {
-      std::fprintf(stderr, "run failed\n");
-      return;
-    }
+    if (!hash.status.ok()) return hash.status;
+    if (!sort.status.ok()) return sort.status;
     int64_t hash_pages = 0, sort_pages = 0;
     for (const auto& st : hash.node_stats) {
       hash_pages += st.spill.spill_pages_written;
@@ -66,14 +64,13 @@ void Run() {
       "the input exceeds M records, Sort-2P pays run I/O proportional to\n"
       "the INPUT at every selectivity, while hash 2P's spill I/O grows\n"
       "only with the GROUP count — the reason the paper assumes hashing.\n");
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace adaptagg
 
-int main(int, char** argv) {
-  adaptagg::bench::SetBenchBinaryName(argv[0]);
-  adaptagg::bench::Run();
-  return 0;
+int main() {
+  return adaptagg::bench::BenchExitCode(adaptagg::bench::Run());
 }

@@ -10,7 +10,7 @@ namespace adaptagg {
 namespace bench {
 namespace {
 
-void Run() {
+Status Run() {
   const double scale = BenchScale();
   SystemParams params = SystemParams::Cluster8();
   params.num_tuples = static_cast<int64_t>(500'000 * scale);
@@ -40,9 +40,9 @@ void Run() {
       wspec.num_groups = groups;
       wspec.seed = 1234;
       auto rel = GenerateRelation(wspec);
-      if (!rel.ok()) return;
+      if (!rel.ok()) return rel.status();
       auto spec = MakeBenchQuery(&rel->schema());
-      if (!spec.ok()) return;
+      if (!spec.ok()) return spec.status();
       AlgorithmOptions opts;
       opts.switch_fill_fraction = fraction;
       opts.gather_results = false;
@@ -59,14 +59,13 @@ void Run() {
       "local-aggregation benefit on repeated groups, so fraction 1.0 —\n"
       "the paper's overflow-point rule — is at or near the minimum in\n"
       "every column.\n");
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace adaptagg
 
-int main(int, char** argv) {
-  adaptagg::bench::SetBenchBinaryName(argv[0]);
-  adaptagg::bench::Run();
-  return 0;
+int main() {
+  return adaptagg::bench::BenchExitCode(adaptagg::bench::Run());
 }

@@ -45,8 +45,7 @@ void Run() {
 }  // namespace bench
 }  // namespace adaptagg
 
-int main(int, char** argv) {
-  adaptagg::bench::SetBenchBinaryName(argv[0]);
+int main() {
   adaptagg::bench::Run();
   return 0;
 }

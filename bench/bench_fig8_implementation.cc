@@ -14,7 +14,7 @@ namespace adaptagg {
 namespace bench {
 namespace {
 
-void Run() {
+Status Run() {
   const double scale = BenchScale();
   SystemParams params = SystemParams::Cluster8();
   params.num_tuples =
@@ -44,13 +44,9 @@ void Run() {
     wspec.num_groups = groups;
     wspec.seed = 8 + static_cast<uint64_t>(groups);
     auto rel = GenerateRelation(wspec);
-    if (!rel.ok()) {
-      std::fprintf(stderr, "generate failed: %s\n",
-                   rel.status().ToString().c_str());
-      return;
-    }
+    if (!rel.ok()) return rel.status();
     auto spec = MakeBenchQuery(&rel->schema());
-    if (!spec.ok()) return;
+    if (!spec.ok()) return spec.status();
 
     std::vector<std::string> row = {FmtSci(s), FmtInt(groups)};
     int a2p_switched = 0;
@@ -73,14 +69,13 @@ void Run() {
       "overflow; beyond that A-2P switches (column on the right) and\n"
       "tracks the better strategy; Rep pays the shared-network tax at\n"
       "low S but closes the gap at very high S.\n");
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace adaptagg
 
-int main(int, char** argv) {
-  adaptagg::bench::SetBenchBinaryName(argv[0]);
-  adaptagg::bench::Run();
-  return 0;
+int main() {
+  return adaptagg::bench::BenchExitCode(adaptagg::bench::Run());
 }

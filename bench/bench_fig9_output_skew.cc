@@ -15,7 +15,7 @@ namespace adaptagg {
 namespace bench {
 namespace {
 
-void Run() {
+Status Run() {
   const double scale = BenchScale();
   SystemParams params = SystemParams::Cluster8();
   params.num_tuples =
@@ -47,13 +47,9 @@ void Run() {
     sspec.num_groups = groups;
     sspec.seed = 9 + static_cast<uint64_t>(groups);
     auto rel = GenerateOutputSkewRelation(sspec);
-    if (!rel.ok()) {
-      std::fprintf(stderr, "generate failed: %s\n",
-                   rel.status().ToString().c_str());
-      return;
-    }
+    if (!rel.ok()) return rel.status();
     auto spec = MakeBenchQuery(&rel->schema());
-    if (!spec.ok()) return;
+    if (!spec.ok()) return spec.status();
 
     std::vector<std::string> row = {FmtSci(s), FmtInt(groups)};
     int switched = 0;
@@ -75,14 +71,13 @@ void Run() {
       "exceed M, A-2P switches exactly those nodes (column shows ~4, not\n"
       "8) and outperforms both static algorithms — per-node adaptivity\n"
       "is something no single global choice can match.\n");
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace adaptagg
 
-int main(int, char** argv) {
-  adaptagg::bench::SetBenchBinaryName(argv[0]);
-  adaptagg::bench::Run();
-  return 0;
+int main() {
+  return adaptagg::bench::BenchExitCode(adaptagg::bench::Run());
 }

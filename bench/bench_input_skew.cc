@@ -10,7 +10,7 @@ namespace adaptagg {
 namespace bench {
 namespace {
 
-void Run() {
+Status Run() {
   const double scale = BenchScale();
   SystemParams params = SystemParams::Cluster8();
   params.num_tuples = static_cast<int64_t>(500'000 * scale);
@@ -41,9 +41,9 @@ void Run() {
       wspec.input_skew_nodes = 1;
       wspec.seed = 61;
       auto rel = GenerateRelation(wspec);
-      if (!rel.ok()) return;
+      if (!rel.ok()) return rel.status();
       auto spec = MakeBenchQuery(&rel->schema());
-      if (!spec.ok()) return;
+      if (!spec.ok()) return spec.status();
       std::vector<std::string> row = {FmtSeconds(factor)};
       AlgorithmOptions opts;
       opts.gather_results = false;
@@ -61,14 +61,13 @@ void Run() {
       "node's share for every algorithm (input skew hits the scan, which\n"
       "nobody can shed); Rep is hurt slightly less at high selectivity\n"
       "because it offloads the aggregation work, as §6.1 argues.\n");
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace adaptagg
 
-int main(int, char** argv) {
-  adaptagg::bench::SetBenchBinaryName(argv[0]);
-  adaptagg::bench::Run();
-  return 0;
+int main() {
+  return adaptagg::bench::BenchExitCode(adaptagg::bench::Run());
 }

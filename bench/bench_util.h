@@ -11,20 +11,11 @@
 #include "cluster/cluster.h"
 #include "core/algorithm.h"
 #include "model/cost_model.h"
-#include "obs/metrics_export.h"
 #include "obs/trace_export.h"
 #include "workload/generator.h"
 
 namespace adaptagg {
 namespace bench {
-
-/// Records the benchmark binary's name (basename of argv[0]) so
-/// BenchJsonWriter can stamp it into every BENCH_*.json. Call first
-/// thing in main().
-void SetBenchBinaryName(const char* argv0);
-
-/// The name recorded by SetBenchBinaryName, or "unknown".
-std::string BenchBinaryName();
 
 /// Prints an aligned text table: header row, separator, data rows.
 class TablePrinter {
@@ -60,84 +51,31 @@ std::vector<double> SelectivitySweep(int64_t num_tuples,
 /// at the same selectivities.
 double BenchScale();
 
-/// One engine run: generates (or reuses) the workload and reports modeled
-/// completion time plus the run's merged metric snapshot.
+/// One engine run's modeled completion time and adaptive behavior.
 struct EngineRunOutcome {
   double sim_time_s = 0;
-  double wall_time_s = 0;
   int nodes_switched = 0;
   int64_t spilled_records = 0;
   bool ok = false;
-  MetricsSnapshot metrics;
 };
 
 /// Runs `kind` on the cluster. When the environment variable
 /// ADAPTAGG_TRACE_DIR is set, trace collection is forced on and the run
-/// is exported as `<dir>/TRACE_<label>.json` (Chrome trace-event
-/// format); `trace_label` defaults to the algorithm name, and the last
-/// run with a given label wins.
+/// is exported as `<dir>/TRACE_<algorithm>.json` (Chrome trace-event
+/// format); the last run of each algorithm wins. A failed run or trace
+/// export is printed to stderr and makes BenchExitCode return non-zero.
 EngineRunOutcome RunEngine(Cluster& cluster, AlgorithmKind kind,
                            const AggregationSpec& spec,
                            PartitionedRelation& rel,
-                           const AlgorithmOptions& options,
-                           const std::string& trace_label = std::string());
+                           const AlgorithmOptions& options);
 
 /// Prints the standard bench header: figure id, description, config line.
 void PrintHeader(const std::string& figure, const std::string& description,
                  const std::string& config);
 
-/// Schema version stamped into every BENCH_*.json. Bump when the layout
-/// changes incompatibly. v2 added schema_version, bench_binary, and the
-/// embedded metrics object; v3 added cpu_dispatch (the kernel code path,
-/// simd::DispatchName() — "scalar" since the kernels are portable C++ —
-/// so wall-clock numbers are never compared across different kernels by
-/// accident).
-inline constexpr int kBenchJsonSchemaVersion = 3;
-
-/// Collects benchmark points and writes them as `BENCH_<bench_id>.json`
-/// so numbers can be checked into the repo and diffed across commits.
-/// Layout (schema v3):
-///
-///   {"bench": "...", "schema_version": 3, "bench_binary": "...",
-///    "cpu_dispatch": "...", "config": "...",
-///    "points": [{"name": "...", "sim_time_s": ...,
-///                "wall_time_s": ..., "tuples_per_sec": ...}, ...],
-///    "metrics": {...}}
-///
-/// Times are seconds; `tuples_per_sec` is input tuples divided by wall
-/// time (0 when a point has no tuple count). Non-finite values are
-/// written as 0 to keep the file valid JSON. `metrics` is the merged
-/// observability snapshot of every run fed to MergeMetrics (omitted
-/// when empty, e.g. in obs-disabled builds).
-class BenchJsonWriter {
- public:
-  BenchJsonWriter(std::string bench_id, std::string config);
-
-  void AddPoint(const std::string& name, double sim_time_s,
-                double wall_time_s, double tuples_per_sec);
-
-  /// Folds one run's metric snapshot into the bench-wide snapshot that
-  /// Write embeds under "metrics".
-  void MergeMetrics(const MetricsSnapshot& metrics);
-
-  /// Writes `<dir>/BENCH_<bench_id>.json` (dir defaults to
-  /// ADAPTAGG_BENCH_JSON_DIR or "."). Returns false and prints to stderr
-  /// on I/O failure.
-  bool Write(const std::string& dir = std::string()) const;
-
- private:
-  struct Point {
-    std::string name;
-    double sim_time_s;
-    double wall_time_s;
-    double tuples_per_sec;
-  };
-
-  std::string bench_id_;
-  std::string config_;
-  std::vector<Point> points_;
-  MetricsSnapshot metrics_;
-};
+/// main()'s exit code: prints `run` to stderr and returns 1 if it
+/// failed or if any RunEngine call failed, else returns 0.
+int BenchExitCode(const Status& run);
 
 }  // namespace bench
 }  // namespace adaptagg

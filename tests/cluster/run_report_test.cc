@@ -9,7 +9,7 @@ namespace {
 
 using testing_util::SmallClusterParams;
 
-RunResult MakeRun() {
+RunResult MakeRun(AlgorithmKind kind) {
   WorkloadSpec wspec;
   wspec.num_nodes = 2;
   wspec.num_tuples = 4'000;
@@ -20,12 +20,11 @@ RunResult MakeRun() {
   auto spec = MakeBenchQuery(&rel->schema());
   EXPECT_TRUE(spec.ok());
   Cluster cluster(SmallClusterParams(2, 4'000, /*M=*/256));
-  return cluster.Run(*MakeAlgorithm(AlgorithmKind::kAdaptiveTwoPhase),
-                     *spec, *rel);
+  return cluster.Run(*MakeAlgorithm(kind), *spec, *rel);
 }
 
 TEST(RunReport, ContainsHeadlineNumbersAndPerNodeLines) {
-  RunResult run = MakeRun();
+  RunResult run = MakeRun(AlgorithmKind::kAdaptiveTwoPhase);
   ASSERT_OK(run.status);
   std::string report = RunReport(run);
   EXPECT_NE(report.find("status: OK"), std::string::npos);
@@ -43,7 +42,7 @@ TEST(RunReport, ContainsHeadlineNumbersAndPerNodeLines) {
 }
 
 TEST(RunReport, SummaryLineParsesKeyFields) {
-  RunResult run = MakeRun();
+  RunResult run = MakeRun(AlgorithmKind::kAdaptiveTwoPhase);
   ASSERT_OK(run.status);
   std::string line = RunSummaryLine(run);
   EXPECT_NE(line.find("sim="), std::string::npos);
@@ -55,6 +54,14 @@ TEST(RunReport, SummaryLineParsesKeyFields) {
   EXPECT_EQ(line.find("bytes=0 "), std::string::npos);
   // One line only.
   EXPECT_EQ(line.find('\n'), std::string::npos);
+}
+
+TEST(RunReport, MergedMetricsCountTwoPhaseNetworkTraffic) {
+  RunResult run = MakeRun(AlgorithmKind::kTwoPhase);
+  ASSERT_OK(run.status);
+  // Each node ships its local partials to the other node's merge.
+  EXPECT_GT(run.metrics.Value("net.bytes_sent"), 0);
+  EXPECT_GT(run.metrics.Value("net.pages_sent"), 0);
 }
 
 TEST(RunReport, ReportsErrorStatus) {
