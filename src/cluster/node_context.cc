@@ -70,6 +70,7 @@ NodeContext::NodeContext(int node_id, const SystemParams& params,
   if (crash != nullptr) {
     crash_at_tuple_ = crash->tuple;
     crash_at_phase_ = crash->phase;
+    hang_ = crash->kind == FaultKind::kHang;
   }
   straggle_secs_ = options.fault_plan.StraggleSecsForNode(node_id);
 }
@@ -122,6 +123,17 @@ void NodeContext::ReleasePageBuffer(std::vector<uint8_t> buf) {
 
 Result<bool> NodeContext::AdmitIncoming(const Message& msg) {
   const int from = msg.from;
+  if (msg.type == MessageType::kPeerClosed) {
+    // The peer's endpoint closed, so its process is gone: fail now
+    // rather than wait out the idle deadline. Checked before the epoch
+    // test because the notice is local and carries no epoch.
+    obs_->fault_peer_closed.Increment();
+    obs_->RecordFault("fault.peer_closed", {{"peer", from}});
+    return Status::NetworkError(
+        "peer node " + std::to_string(from) +
+        " closed its connection in phase '" + current_phase_ +
+        "' (presumed crashed)");
+  }
   if (from < 0 || from >= num_nodes()) {
     return true;  // unattributed traffic (raw transport users in tests)
   }
@@ -296,6 +308,15 @@ Status NodeContext::CheckScanFault() {
 
 Status NodeContext::InjectCrash(const std::string& where) {
   crashed_ = true;
+  if (hang_) {
+    transport_->SimulateHang();
+    obs_->fault_hangs_injected.Increment();
+    obs_->RecordFault("fault.hang", {{"node", node_id_}});
+    // Peers can only time out on a hung node, so its own status says
+    // so too: it ranks with their detection timeouts, never above them.
+    return Status::DeadlineExceeded("injected hang at " + where +
+                                    " (stopped sending, endpoint open)");
+  }
   transport_->SimulateFailStop();
   obs_->fault_crashes_injected.Increment();
   obs_->RecordFault("fault.crash", {{"node", node_id_}});

@@ -255,9 +255,9 @@ class NodeContext {
   /// non-empty fault plan is active).
   bool failure_detection_armed() const { return armed_; }
 
-  /// True once this node executed an injected crash. The recovery loop
-  /// retries exactly when some node crashed — every other failure mode
-  /// keeps its clean-abort semantics.
+  /// True once this node executed an injected crash or hang. The
+  /// recovery loop retries exactly when some node stopped this way —
+  /// every other failure mode keeps its clean-abort semantics.
   bool crashed() const { return crashed_; }
 
   /// Next deterministic data-page sequence number toward `dest` (1, 2,
@@ -292,11 +292,13 @@ class NodeContext {
  private:
   /// Admission control for one message popped off the transport:
   /// updates liveness and sequence bookkeeping, swallows heartbeats and
-  /// duplicates (returns false), errors on a detected sequence gap.
+  /// duplicates (returns false), errors on a detected sequence gap or a
+  /// peer's close notice.
   Result<bool> AdmitIncoming(const Message& msg);
 
-  /// Executes an injected crash: fail-stops the transport (a dead node
-  /// reaches nobody) and returns the descriptive error.
+  /// Executes an injected crash (fail-stops the transport, closing this
+  /// node's endpoint) or hang (swallows later sends, endpoint left open)
+  /// and returns the descriptive error.
   Status InjectCrash(const std::string& where);
 
   int node_id_;
@@ -332,6 +334,7 @@ class NodeContext {
   // Injected node faults (resolved from the plan for this node).
   int64_t crash_at_tuple_ = -1;
   std::string crash_at_phase_;
+  bool hang_ = false;
   double straggle_secs_ = 0;
   bool crashed_ = false;
 

@@ -13,11 +13,15 @@ namespace adaptagg {
 namespace {
 
 /// Severity used to pick the run's root cause among node statuses:
-/// injected faults beat ordinary errors, which beat detection timeouts,
-/// which beat cascaded "aborted by peer" echoes.
+/// injected faults beat ordinary errors, which beat detection (timeouts
+/// and peer-closed notices), which beats cascaded "aborted by peer"
+/// echoes.
 int RootCauseRank(const Status& st) {
   if (st.message().find("aborted by peer") != std::string::npos) return 0;
-  if (st.code() == StatusCode::kDeadlineExceeded) return 1;
+  if (st.code() == StatusCode::kDeadlineExceeded ||
+      st.message().find("closed its connection") != std::string::npos) {
+    return 1;
+  }
   if (st.message().find("injected") != std::string::npos) return 3;
   return 2;
 }
@@ -62,6 +66,7 @@ FaultObserver MakeFaultObserver(NodeObs* obs) {
       case FaultKind::kStraggle:
       case FaultKind::kDiskFail:
       case FaultKind::kTornWrite:
+      case FaultKind::kHang:
         break;  // node/storage faults report elsewhere
     }
     obs->RecordFault("fault." + std::string(FaultKindToString(e.kind)),
@@ -171,8 +176,9 @@ bool QueryExecution::RunNode(int i) {
   if (!st.ok()) {
     // The first failure pins the attempt's failure wall time; later ones
     // observe their abort latency. The abort wakes every peer that may
-    // be blocked on this node's traffic; a node whose transport is in
-    // fail-stop mode reaches nobody, so its peers detect the silence.
+    // be blocked on this node's traffic; a crashed or hung node's sends
+    // are swallowed, so its peers detect it from its endpoint's close
+    // notice or from its silence.
     const double now = WallSeconds();
     bool expected = false;
     if (failure_seen_.compare_exchange_strong(expected, true)) {
@@ -203,15 +209,15 @@ bool QueryExecution::PrepareReplay() {
   bool any_crashed = false;
   for (const auto& ctx : contexts_) any_crashed |= ctx->crashed();
   if (!any_crashed) return false;
-  // Consume the crash specs that fired — the first matching spec per
-  // crashed node, mirroring CrashForNode.
-  auto& fs = options_.fault_plan.faults;
+  // Consume the crash or hang specs that fired: the one CrashForNode
+  // handed each stopped node.
+  FaultPlan& plan = options_.fault_plan;
   for (const auto& ctx : contexts_) {
     if (!ctx->crashed()) continue;
-    auto it = std::find_if(fs.begin(), fs.end(), [&](const FaultSpec& f) {
-      return f.kind == FaultKind::kCrash && f.node == ctx->node_id();
-    });
-    if (it != fs.end()) fs.erase(it);
+    const FaultSpec* fired = plan.CrashForNode(ctx->node_id());
+    if (fired != nullptr) {
+      plan.faults.erase(plan.faults.begin() + (fired - plan.faults.data()));
+    }
   }
   // The crashed attempt is over: release its contexts before its
   // transports, and both before the caller builds the next attempt's.

@@ -134,6 +134,9 @@ Status DataReceiver::Handle(Message& msg) {
     case MessageType::kAbort:
       return Status::Internal("aborted by peer node " +
                               std::to_string(msg.from));
+    case MessageType::kPeerClosed:
+      // NodeContext fails the receive before delivery; never reached.
+      return Status::Internal("unexpected peer-closed notice");
   }
   return Status::OK();
 }

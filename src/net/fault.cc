@@ -25,6 +25,8 @@ std::string_view FaultKindToString(FaultKind kind) {
       return "disk-fail";
     case FaultKind::kTornWrite:
       return "torn-write";
+    case FaultKind::kHang:
+      return "hang";
   }
   return "?";
 }
@@ -72,6 +74,7 @@ Result<FaultKind> ParseKind(std::string_view v) {
   if (v == "straggle") return FaultKind::kStraggle;
   if (v == "disk-fail") return FaultKind::kDiskFail;
   if (v == "torn-write") return FaultKind::kTornWrite;
+  if (v == "hang") return FaultKind::kHang;
   return Status::InvalidArgument("fault plan: unknown fault kind '" +
                                  std::string(v) + "'");
 }
@@ -79,6 +82,10 @@ Result<FaultKind> ParseKind(std::string_view v) {
 bool IsMessageFault(FaultKind kind) {
   return kind == FaultKind::kDrop || kind == FaultKind::kDuplicate ||
          kind == FaultKind::kDelay || kind == FaultKind::kCorrupt;
+}
+
+bool StopsNode(FaultKind kind) {
+  return kind == FaultKind::kCrash || kind == FaultKind::kHang;
 }
 
 Status ParseClause(std::string_view clause, FaultPlan& plan) {
@@ -148,10 +155,10 @@ Status ParseClause(std::string_view clause, FaultPlan& plan) {
                                          spec.kind)) +
                                      " needs node=<id>");
     }
-    if (spec.kind == FaultKind::kCrash && spec.tuple < 0 &&
-        spec.phase.empty()) {
+    if (StopsNode(spec.kind) && spec.tuple < 0 && spec.phase.empty()) {
       return Status::InvalidArgument(
-          "fault plan: crash needs tuple=<index> or phase=<name>");
+          "fault plan: " + std::string(FaultKindToString(spec.kind)) +
+          " needs tuple=<index> or phase=<name>");
     }
     if (spec.kind == FaultKind::kStraggle && spec.secs <= 0) {
       return Status::InvalidArgument(
@@ -166,7 +173,7 @@ Status ParseClause(std::string_view clause, FaultPlan& plan) {
 
 const FaultSpec* FaultPlan::CrashForNode(int node) const {
   for (const FaultSpec& f : faults) {
-    if (f.kind == FaultKind::kCrash && f.node == node) return &f;
+    if (StopsNode(f.kind) && f.node == node) return &f;
   }
   return nullptr;
 }
@@ -261,10 +268,7 @@ FaultyTransport::FaultyTransport(std::unique_ptr<Transport> inner,
       prng_state_(plan.seed * 0x9E3779B97F4A7C15ull + 1),
       observer_(std::move(observer)) {
   for (const FaultSpec& f : plan.faults) {
-    const bool message_fault =
-        f.kind == FaultKind::kDrop || f.kind == FaultKind::kDuplicate ||
-        f.kind == FaultKind::kDelay || f.kind == FaultKind::kCorrupt;
-    if (message_fault &&
+    if (IsMessageFault(f.kind) &&
         (f.from < 0 || f.from == inner_->node_id())) {
       send_faults_.push_back(ArmedFault{f, 0});
     }
@@ -336,6 +340,7 @@ Status FaultyTransport::Send(int to, Message msg) {
         case FaultKind::kStraggle:
         case FaultKind::kDiskFail:
         case FaultKind::kTornWrite:
+        case FaultKind::kHang:
           break;  // node/storage faults; never armed as send faults
       }
     }

@@ -14,7 +14,7 @@ namespace adaptagg {
 
 /// Kinds of injectable faults. Message faults (drop/duplicate/delay/
 /// corrupt) act on a FaultyTransport's outbound traffic; node faults
-/// (crash/straggle) are executed by the NodeContext runtime hooks;
+/// (crash/hang/straggle) are executed by the NodeContext runtime hooks;
 /// storage faults (disk-fail/torn-write) are applied to the targeted
 /// node's checkpoint disk by the recovery runtime.
 enum class FaultKind {
@@ -26,6 +26,7 @@ enum class FaultKind {
   kStraggle,
   kDiskFail,
   kTornWrite,
+  kHang,
 };
 
 /// Stable lowercase name ("drop", "crash", ...).
@@ -38,7 +39,12 @@ std::string_view FaultKindToString(FaultKind kind);
 ///    (0-based; -1 = every match), `secs` is the added latency (delay).
 ///  * crash: `node` crashes either when its scan reaches global tuple
 ///    index `tuple` (checked at batch granularity) or when it enters the
-///    phase named `phase` ("scan", "merge", "emit", "sample").
+///    phase named `phase` ("scan", "merge", "emit", "sample"). Like a
+///    dying process, it stops sending and its endpoint closes, so peers
+///    abort as soon as the close notice reaches them.
+///  * hang: same triggers as crash, but the node stops sending with its
+///    endpoint open, so peers learn of it only through heartbeats and
+///    the idle deadline (a hung process or a partition).
 ///  * straggle: `node` sleeps `secs` wall-seconds at every inbox poll
 ///    (the scan loop polls every kPollInterval tuples, so this slows the
 ///    node down without changing any simulated cost).
@@ -66,16 +72,18 @@ struct FaultSpec {
 ///   drop:from=1,to=2,nth=0;crash:node=2,tuple=5000;straggle:node=3,
 ///   factor=4;seed=7
 ///
-/// Clauses are ';'-separated; each is `kind:key=value,...`. `seed=N`
-/// (no colon) seeds the corruption byte picker. `factor=f` on straggle
-/// and delay is shorthand for secs=f/1000 (≈ f ms).
+/// Clauses are ';'-separated; each is `kind:key=value,...` (`hang` takes
+/// the same keys as `crash`). `seed=N` (no colon) seeds the corruption
+/// byte picker. `factor=f` on straggle and delay is shorthand for
+/// secs=f/1000 (≈ f ms).
 struct FaultPlan {
   uint64_t seed = 42;
   std::vector<FaultSpec> faults;
 
   bool empty() const { return faults.empty(); }
 
-  /// First crash spec targeting `node`, or nullptr.
+  /// First crash or hang spec targeting `node` (the fault that stops
+  /// it), or nullptr.
   const FaultSpec* CrashForNode(int node) const;
   /// Per-poll straggle sleep for `node` (0 when not straggling).
   double StraggleSecsForNode(int node) const;
@@ -131,9 +139,10 @@ using FaultObserver = std::function<void(const FaultEvent&)>;
 /// the n-th one is). Corruption serializes the message, flips one
 /// seed-chosen byte, and re-parses: the CRC-32C rejects it, making a
 /// corrupt frame behave as a detectable drop on every substrate.
-/// SimulateFailStop puts the endpoint in fail-stop mode (all later sends
-/// swallowed), which is what makes injected crashes realistic — a dead
-/// node cannot broadcast its own abort, so peers must *detect* it.
+/// SimulateFailStop swallows all later sends and closes the wrapped
+/// endpoint, and SimulateHang only swallows. Either way a stopped node
+/// cannot broadcast its own abort: peers must *detect* it, from the
+/// close notice or from its silence.
 class FaultyTransport : public Transport {
  public:
   FaultyTransport(std::unique_ptr<Transport> inner, const FaultPlan& plan,
@@ -160,7 +169,11 @@ class FaultyTransport : public Transport {
   uint64_t frames_rejected() const override {
     return inner_->frames_rejected();
   }
-  void SimulateFailStop() override { dead_ = true; }
+  void SimulateFailStop() override {
+    dead_ = true;
+    inner_->SimulateFailStop();
+  }
+  void SimulateHang() override { dead_ = true; }
 
  private:
   struct ArmedFault {

@@ -23,6 +23,7 @@ class InprocTransport : public Transport {
   }
 
   Status Send(int to, Message msg) override {
+    if (dead_) return Status::OK();
     if (to < 0 || to >= num_nodes()) {
       return Status::InvalidArgument("send to bad node " +
                                      std::to_string(to));
@@ -30,6 +31,17 @@ class InprocTransport : public Transport {
     msg.from = node_id_;
     mesh_->inboxes[static_cast<size_t>(to)].Push(std::move(msg));
     return Status::OK();
+  }
+
+  void SimulateFailStop() override {
+    if (dead_) return;
+    dead_ = true;
+    // Each inbox is FIFO, so the notice lands behind everything this
+    // node already pushed there.
+    for (int p = 0; p < num_nodes(); ++p) {
+      if (p == node_id_) continue;
+      mesh_->inboxes[static_cast<size_t>(p)].Push(PeerClosedNotice(node_id_));
+    }
   }
 
   Result<Message> Recv() override {
@@ -58,6 +70,9 @@ class InprocTransport : public Transport {
  private:
   std::shared_ptr<InprocMesh> mesh_;
   int node_id_;
+  /// Set by SimulateFailStop; read by Send. Both run on the owning
+  /// node's thread (the Send contract).
+  bool dead_ = false;
 };
 
 }  // namespace

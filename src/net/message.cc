@@ -22,8 +22,17 @@ std::string MessageTypeToString(MessageType type) {
       return "abort";
     case MessageType::kHeartbeat:
       return "heartbeat";
+    case MessageType::kPeerClosed:
+      return "peer-closed";
   }
   return "?";
+}
+
+Message PeerClosedNotice(int32_t from) {
+  Message notice;
+  notice.type = MessageType::kPeerClosed;
+  notice.from = from;
+  return notice;
 }
 
 std::vector<uint8_t> Message::Serialize() const {
@@ -79,7 +88,7 @@ Result<Message> Message::Deserialize(const uint8_t* data, size_t len) {
   }
   Message m;
   uint8_t t = data[off++];
-  if (t > static_cast<uint8_t>(MessageType::kHeartbeat)) {
+  if (t > static_cast<uint8_t>(kLastWireType)) {
     return Status::InvalidArgument("bad message type " + std::to_string(t));
   }
   m.type = static_cast<MessageType>(t);

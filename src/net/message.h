@@ -28,7 +28,15 @@ enum class MessageType : uint8_t {
   /// armed. Swallowed inside NodeContext: algorithms never see it, and
   /// it is free under the network cost model (piggybacked traffic).
   kHeartbeat = 6,
+  /// The sender's endpoint closed: its process is gone (a crash).
+  /// Synthesized by the receiving endpoint after everything that peer
+  /// sent, never serialized: Deserialize rejects this type, so no remote
+  /// can forge a close. NodeContext turns it into a run-failing error.
+  kPeerClosed = 7,
 };
+
+/// Highest type that may travel on the wire (kPeerClosed is local-only).
+inline constexpr MessageType kLastWireType = MessageType::kHeartbeat;
 
 std::string MessageTypeToString(MessageType type);
 
@@ -94,6 +102,10 @@ struct Message {
   /// asserts, so arbitrary bytes off the wire are safe to feed here.
   static Result<Message> Deserialize(const uint8_t* data, size_t len);
 };
+
+/// The local kPeerClosed notice an endpoint delivers when peer `from`'s
+/// endpoint closes.
+Message PeerClosedNotice(int32_t from);
 
 }  // namespace adaptagg
 

@@ -79,6 +79,20 @@ Status SessionRouter::PhysicalSend(int from_node, int to, Message msg) {
   return physical_[static_cast<size_t>(from_node)]->Send(to, std::move(msg));
 }
 
+void SessionRouter::NotifyPeerClosed(uint32_t query_id, int from_node) {
+  std::vector<std::shared_ptr<Channel>> peers;
+  {
+    MutexLock lock(&mu_);
+    for (int i = 0; i < num_nodes(); ++i) {
+      if (i == from_node) continue;
+      const auto& per_node = inboxes_[static_cast<size_t>(i)];
+      auto it = per_node.find(query_id);
+      if (it != per_node.end()) peers.push_back(it->second);
+    }
+  }
+  for (const auto& ch : peers) ch->Push(PeerClosedNotice(from_node));
+}
+
 void SessionRouter::DemuxLoop(int node) {
   Transport& endpoint = *physical_[static_cast<size_t>(node)];
   while (!stop_.load(std::memory_order_acquire)) {
@@ -118,8 +132,8 @@ void SessionRouter::DemuxLoop(int node) {
 
 Status SessionTransport::Send(int to, Message msg) {
   if (failed_.load(std::memory_order_acquire)) {
-    // Fail-stop: a dead node notifies nobody. Swallow silently, exactly
-    // like a fail-stopped physical endpoint.
+    // Fail-stop: swallow silently, exactly like a fail-stopped physical
+    // endpoint.
     return Status::OK();
   }
   if (to < 0 || to >= num_nodes()) {
@@ -128,6 +142,11 @@ Status SessionTransport::Send(int to, Message msg) {
   msg.from = node_id_;
   msg.query_id = query_id_;
   return router_->PhysicalSend(node_id_, to, std::move(msg));
+}
+
+void SessionTransport::SimulateFailStop() {
+  if (failed_.exchange(true, std::memory_order_acq_rel)) return;
+  router_->NotifyPeerClosed(query_id_, node_id_);
 }
 
 Result<Message> SessionTransport::Recv() {

@@ -29,9 +29,12 @@ namespace adaptagg {
 /// each co-resident session (NodeContext's unsequenced path refreshes
 /// peer liveness and swallows the copy without touching sequence
 /// validation). One session's heartbeat traffic thus keeps every
-/// neighbor's failure detector fed — and a crashed query's silence is
-/// still detected per session, because detection reads per-peer
-/// liveness, not per-query traffic.
+/// neighbor's failure detector fed.
+///
+/// A session endpoint that fail-stops closes only itself: the router
+/// pushes one kPeerClosed from that node into the session's other
+/// inboxes. Co-resident sessions see nothing, and the physical mesh stays
+/// up.
 ///
 /// Frames for a query with no registered session (a late page from an
 /// aborted run, or traffic racing CloseSession) are dropped and counted.
@@ -88,6 +91,10 @@ class SessionRouter {
   /// node so concurrent sessions of one node never interleave frames.
   Status PhysicalSend(int from_node, int to, Message msg);
 
+  /// Pushes kPeerClosed from `from_node` into session `query_id`'s inbox
+  /// on every other node (nothing when the session is already closed).
+  void NotifyPeerClosed(uint32_t query_id, int from_node);
+
   void DemuxLoop(int node);
 
   std::vector<std::unique_ptr<Transport>> physical_;
@@ -110,10 +117,11 @@ class SessionRouter {
 
 /// One (query, node) endpoint over a SessionRouter: Sends stamp the
 /// session's query id and go out on the shared physical mesh; receives
-/// pop the session's demultiplexed inbox. SimulateFailStop puts only
-/// this endpoint into fail-stop (the physical mesh, its demux thread,
-/// and every other session stay up — a crashed query must not poison
-/// its neighbors).
+/// pop the session's demultiplexed inbox. SimulateFailStop closes only
+/// this endpoint: its later sends are swallowed and the session's other
+/// endpoints get one kPeerClosed each, while the physical mesh, its
+/// demux threads and every other session stay up (a crashed query must
+/// not poison its neighbors).
 class SessionTransport : public Transport {
  public:
   SessionTransport(SessionRouter* router, std::shared_ptr<Channel> inbox,
@@ -132,9 +140,7 @@ class SessionTransport : public Transport {
   std::optional<Message> TryRecv() override;
 
   size_t inbox_high_water() const override { return inbox_->max_depth(); }
-  void SimulateFailStop() override {
-    failed_.store(true, std::memory_order_release);
-  }
+  void SimulateFailStop() override;
 
  private:
   SessionRouter* router_;

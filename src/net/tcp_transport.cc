@@ -59,6 +59,9 @@ class TcpTransport : public Transport {
         out_fds_(static_cast<size_t>(num_nodes), -1) {}
 
   ~TcpTransport() override {
+    // Our own teardown ends every reader with an error or EOF; that is
+    // not a peer closing, so the readers push no notice for it.
+    closing_.store(true, std::memory_order_release);
     for (int fd : out_fds_) {
       if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
     }
@@ -80,6 +83,7 @@ class TcpTransport : public Transport {
   int num_nodes() const override { return num_nodes_; }
 
   Status Send(int to, Message msg) override {
+    if (dead_) return Status::OK();
     if (to < 0 || to >= num_nodes_) {
       return Status::InvalidArgument("send to bad node " +
                                      std::to_string(to));
@@ -114,18 +118,40 @@ class TcpTransport : public Transport {
     return frames_rejected_.load(std::memory_order_relaxed);
   }
 
+  /// Half-closes every outgoing socket: the kernel sends FIN behind the
+  /// bytes already queued, so each peer's reader drains this node's
+  /// last frames, then sees EOF and delivers the close notice.
+  void SimulateFailStop() override {
+    if (dead_) return;
+    dead_ = true;
+    for (int fd : out_fds_) {
+      if (fd >= 0) ::shutdown(fd, SHUT_WR);
+    }
+  }
+
   void SetOutgoing(int to, int fd) {
     out_fds_[static_cast<size_t>(to)] = fd;
   }
 
-  /// Registers an accepted incoming connection and starts its reader.
-  void AddIncoming(int fd) {
+  /// Registers an accepted incoming connection from node `peer` (the id
+  /// its hello announced) and starts its reader.
+  void AddIncoming(int fd, int peer) {
     in_fds_.push_back(fd);
-    readers_.emplace_back([this, fd] { ReadLoop(fd); });
+    readers_.emplace_back([this, fd, peer] { ReadLoop(fd, peer); });
   }
 
  private:
-  void ReadLoop(int fd) {
+  /// Reads frames from `peer` until its connection ends. EOF, a recv
+  /// error and a desynchronized stream all mean the peer is gone, so
+  /// each delivers one kPeerClosed behind the frames already read.
+  void ReadLoop(int fd, int peer) {
+    ReadFrames(fd);
+    if (!closing_.load(std::memory_order_acquire)) {
+      inbox_.Push(PeerClosedNotice(peer));
+    }
+  }
+
+  void ReadFrames(int fd) {
     std::vector<uint8_t> buf;
     while (true) {
       uint8_t len_bytes[4];
@@ -159,10 +185,12 @@ class TcpTransport : public Transport {
 
   // Thread roles (this class needs no mutex of its own): all
   // cross-thread traffic funnels through `inbox_` (internally locked and
-  // annotated) or `frames_rejected_` (atomic). `out_fds_` is written
-  // only during single-threaded mesh setup and read by Send afterwards;
-  // `in_fds_` and `readers_` are touched only by setup and the
-  // destructor, which joins every reader before closing.
+  // annotated), `frames_rejected_` or `closing_` (atomics). `out_fds_` is
+  // written only during single-threaded mesh setup and read by Send and
+  // SimulateFailStop afterwards; `dead_` is touched only by those two,
+  // on the owning node's thread; `in_fds_` and `readers_` are touched
+  // only by setup and the destructor, which joins every reader before
+  // closing.
   int node_id_;
   int num_nodes_;
   Channel inbox_;
@@ -170,6 +198,8 @@ class TcpTransport : public Transport {
   std::vector<int> in_fds_;
   std::vector<std::thread> readers_;
   std::atomic<uint64_t> frames_rejected_{0};
+  std::atomic<bool> closing_{false};
+  bool dead_ = false;
 };
 
 Result<int> Listen(int port) {
@@ -302,7 +332,7 @@ Result<std::vector<std::unique_ptr<Transport>>> MakeTcpMesh(int n,
         failure = st.ok() ? Status::NetworkError("bad hello") : st;
         break;
       }
-      nodes[static_cast<size_t>(j)]->AddIncoming(*in);
+      nodes[static_cast<size_t>(j)]->AddIncoming(*in, i);
     }
   }
 

@@ -47,11 +47,22 @@ class Transport {
   /// (checksum mismatch, bad type). Always 0 for in-process transports.
   virtual uint64_t frames_rejected() const { return 0; }
 
-  /// Puts the endpoint into fail-stop mode: every later Send is silently
-  /// swallowed, as if the node's process died. Used by fault injection to
-  /// model crashes realistically (a dead node notifies nobody); a plain
-  /// transport ignores it.
+  /// Crashes the endpoint the way a dying process does: every later Send
+  /// is silently swallowed, and the endpoint closes, so each peer's
+  /// endpoint delivers exactly one local MessageType::kPeerClosed with
+  /// `from` = this node, after everything this node already sent. The
+  /// dead node cannot say why it died, but its peers learn *that* it
+  /// died at transport speed. (A SessionRouter endpoint pushes the
+  /// notice straight into the session's inboxes, so it can overtake
+  /// frames still crossing the shared mesh; the attempt is over either
+  /// way.) Idempotent.
   virtual void SimulateFailStop() {}
+
+  /// Hangs the endpoint: every later Send is silently swallowed but the
+  /// endpoint stays open, so peers learn nothing until their silence
+  /// detection fires. Only FaultyTransport, which wraps every endpoint of
+  /// a run with a fault plan, implements it.
+  virtual void SimulateHang() {}
 };
 
 /// Creates an in-process mesh of `n` transports sharing channels.

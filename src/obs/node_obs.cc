@@ -72,12 +72,14 @@ NodeObs::NodeObs(int node_id, const ObsConfig& config,
   fault_msgs_delayed = registry_.counter("fault.msgs_delayed");
   fault_msgs_corrupted = registry_.counter("fault.msgs_corrupted");
   fault_crashes_injected = registry_.counter("fault.crashes_injected");
+  fault_hangs_injected = registry_.counter("fault.hangs_injected");
   fault_straggle_sleeps = registry_.counter("fault.straggle_sleeps");
   fault_heartbeats_sent = registry_.counter("fault.heartbeats_sent");
   fault_dup_discarded = registry_.counter("fault.dup_discarded");
   fault_seq_gaps = registry_.counter("fault.seq_gaps");
   fault_frames_rejected = registry_.counter("fault.frames_rejected");
   fault_deadline_aborts = registry_.counter("fault.deadline_aborts");
+  fault_peer_closed = registry_.counter("fault.peer_closed");
   fault_abort_latency_us =
       registry_.histogram("fault.abort_latency_us", AbortLatencySpec());
 

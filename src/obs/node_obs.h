@@ -114,12 +114,16 @@ class NodeObs {
   Counter fault_msgs_delayed;
   Counter fault_msgs_corrupted;
   Counter fault_crashes_injected;
+  Counter fault_hangs_injected;
   Counter fault_straggle_sleeps;
   Counter fault_heartbeats_sent;
   Counter fault_dup_discarded;
   Counter fault_seq_gaps;
   Counter fault_frames_rejected;
   Counter fault_deadline_aborts;
+  /// Receives failed by a peer's close notice (transport-speed crash
+  /// detection; silence detection counts in fault_deadline_aborts).
+  Counter fault_peer_closed;
   /// Wall time from the run's first node failure to each later node
   /// noticing and unwinding (abort fan-out + detection latency).
   Histogram fault_abort_latency_us;

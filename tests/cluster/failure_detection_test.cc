@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 
 #include "cluster/cluster.h"
 #include "net/fault.h"
+#include "net/transport.h"
 #include "test_util.h"
 
 namespace adaptagg {
@@ -153,6 +155,68 @@ TEST(FailureDetection, UnarmedByDefaultArmedByPlanOrFlag) {
                        FaultPlan::Parse("delay:from=0,to=1,secs=0.001"));
   ASSERT_OK(cluster.Run(probe, spec, rel, with_plan).status);
   EXPECT_TRUE(armed.load());
+}
+
+// A crashed node's endpoint closes, and its peers must abort (or replay)
+// the moment they see the close. The 30 s idle deadline means the old
+// silence-only path could not finish in under 30 s; the 5 s bound leaves
+// room for a slow sanitizer host while still proving the close was seen.
+TEST(FailureDetection, CrashedPeerDetectedAtTransportSpeed) {
+  WorkloadSpec wspec;
+  wspec.num_nodes = 3;
+  wspec.num_tuples = 6'000;
+  wspec.num_groups = 200;
+  ASSERT_OK_AND_ASSIGN(PartitionedRelation rel, GenerateRelation(wspec));
+  ASSERT_OK_AND_ASSIGN(AggregationSpec spec,
+                       MakeBenchQuery(&rel.schema()));
+  ASSERT_OK_AND_ASSIGN(ResultSet expected, ReferenceAggregate(spec, rel));
+
+  int port = 44200;
+  for (bool tcp : {false, true}) {
+    for (bool recovery : {false, true}) {
+      SCOPED_TRACE(std::string(tcp ? "tcp" : "inproc") +
+                   (recovery ? "/recovery" : "/abort"));
+      Cluster cluster(SmallClusterParams(3, wspec.num_tuples, 256));
+      if (tcp) {
+        // A replay builds a fresh mesh; give each its own port block.
+        cluster.set_transport_factory([&port](int n) {
+          const int at = port;
+          port += 10;
+          return MakeTcpMesh(n, at);
+        });
+      }
+      AlgorithmOptions opts;
+      ASSERT_OK_AND_ASSIGN(opts.fault_plan,
+                           FaultPlan::Parse("crash:node=1,tuple=500"));
+      opts.failure.enabled = true;
+      opts.failure.recv_idle_timeout_s = 30.0;
+      opts.recovery.enabled = recovery;
+
+      const auto start = std::chrono::steady_clock::now();
+      RunResult run = cluster.Run(
+          *MakeAlgorithm(AlgorithmKind::kRepartitioning), spec, rel, opts);
+      const double elapsed =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        start)
+              .count();
+
+      if (recovery) {
+        ASSERT_OK(run.status);
+        EXPECT_TRUE(ResultSetsEqual(run.results, expected));
+      } else {
+        ASSERT_FALSE(run.status.ok());
+        // The root cause is still the crash itself, not its detection.
+        EXPECT_NE(run.status.message().find("node 1"), std::string::npos)
+            << run.status.ToString();
+        EXPECT_NE(run.status.message().find("injected crash"),
+                  std::string::npos)
+            << run.status.ToString();
+        EXPECT_GE(run.metrics.Value("fault.peer_closed"), 1);
+        EXPECT_EQ(run.metrics.Value("fault.deadline_aborts"), 0);
+      }
+      EXPECT_LT(elapsed, 5.0);
+    }
+  }
 }
 
 }  // namespace

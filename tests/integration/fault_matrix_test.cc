@@ -22,6 +22,8 @@ struct FaultCase {
   bool expect_ok;
   /// Substring the abort status must carry (nullptr: any message).
   const char* expect_substr;
+  /// Code the abort status must carry (kOk: any expected failure code).
+  StatusCode expect_code = StatusCode::kOk;
 };
 
 constexpr FaultCase kCases[] = {
@@ -36,9 +38,13 @@ constexpr FaultCase kCases[] = {
     // A corrupted frame fails its checksum and becomes a detectable
     // drop.
     {"corrupt", "corrupt:from=1,to=2,nth=0", false, "node"},
-    // A fail-stop crash mid-scan aborts the whole run with a status
-    // naming the dead node.
+    // A fail-stop crash mid-scan closes the node's endpoint; the run
+    // aborts at once with a status naming the dead node.
     {"crash", "crash:node=1,tuple=500", false, "node 1"},
+    // A hang keeps its endpoint open, so only silence detection (no
+    // heartbeats within the idle deadline) can find it.
+    {"hang", "hang:node=1,tuple=500", false, "node 1",
+     StatusCode::kDeadlineExceeded},
     // A straggler survives: heartbeats prove liveness until it catches
     // up.
     {"straggler", "straggle:node=1,factor=20", true, nullptr},
@@ -96,6 +102,10 @@ class FaultMatrixTest : public ::testing::Test {
               run.status.code() == StatusCode::kDeadlineExceeded ||
               run.status.code() == StatusCode::kInternal)
               << run.status.ToString();
+          if (fc.expect_code != StatusCode::kOk) {
+            EXPECT_EQ(run.status.code(), fc.expect_code)
+                << run.status.ToString();
+          }
           if (fc.expect_substr != nullptr) {
             EXPECT_NE(run.status.message().find(fc.expect_substr),
                       std::string::npos)
@@ -255,9 +265,12 @@ TEST_F(RecoveryMatrixTest, TwoNodesCrashingTogetherRecoverInOneReplay) {
 
   AlgorithmOptions opts;
   opts.gather_results = true;
+  // Both crash on entering the scan, which Repartitioning does before
+  // its first receive: neither can see the other's close first, so the
+  // two crashes land in one attempt by construction.
   ASSERT_OK_AND_ASSIGN(
       opts.fault_plan,
-      FaultPlan::Parse("crash:node=0,tuple=500;crash:node=2,tuple=600"));
+      FaultPlan::Parse("crash:node=0,phase=scan;crash:node=2,phase=scan"));
   opts.failure.enabled = true;
   opts.failure.recv_idle_timeout_s = 2.0;
   opts.recovery.enabled = true;

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "common/crc32c.h"
@@ -47,8 +48,9 @@ TEST(FaultPlan, ParsesFullGrammar) {
   ASSERT_OK_AND_ASSIGN(
       FaultPlan plan,
       FaultPlan::Parse("drop:from=1,to=2,nth=0;crash:node=2,tuple=5000;"
-                       "straggle:node=3,factor=4;seed=7"));
-  ASSERT_EQ(plan.faults.size(), 3u);
+                       "straggle:node=3,factor=4;hang:node=1,phase=merge;"
+                       "seed=7"));
+  ASSERT_EQ(plan.faults.size(), 4u);
   EXPECT_EQ(plan.seed, 7u);
 
   EXPECT_EQ(plan.faults[0].kind, FaultKind::kDrop);
@@ -64,23 +66,33 @@ TEST(FaultPlan, ParsesFullGrammar) {
   EXPECT_EQ(plan.faults[2].node, 3);
   EXPECT_DOUBLE_EQ(plan.faults[2].secs, 0.004);
 
+  EXPECT_EQ(plan.faults[3].kind, FaultKind::kHang);
+  EXPECT_EQ(plan.faults[3].node, 1);
+  EXPECT_EQ(plan.faults[3].phase, "merge");
+
   const FaultSpec* crash = plan.CrashForNode(2);
   ASSERT_NE(crash, nullptr);
   EXPECT_EQ(crash->tuple, 5000);
   EXPECT_EQ(plan.CrashForNode(0), nullptr);
+  // A hang stops its node just as a crash does.
+  ASSERT_NE(plan.CrashForNode(1), nullptr);
+  EXPECT_EQ(plan.CrashForNode(1)->kind, FaultKind::kHang);
   EXPECT_DOUBLE_EQ(plan.StraggleSecsForNode(3), 0.004);
   EXPECT_DOUBLE_EQ(plan.StraggleSecsForNode(1), 0);
 }
 
 TEST(FaultPlan, ToStringRoundTrips) {
   const std::string text =
-      "drop:from=1,to=2,nth=0;dup:nth=-1;crash:node=2,phase=merge;seed=9";
+      "drop:from=1,to=2,nth=0;dup:nth=-1;crash:node=2,phase=merge;"
+      "hang:node=1,tuple=300;seed=9";
   ASSERT_OK_AND_ASSIGN(FaultPlan plan, FaultPlan::Parse(text));
   ASSERT_OK_AND_ASSIGN(FaultPlan again, FaultPlan::Parse(plan.ToString()));
   EXPECT_EQ(again.ToString(), plan.ToString());
   ASSERT_EQ(again.faults.size(), plan.faults.size());
   EXPECT_EQ(again.seed, 9u);
   EXPECT_EQ(again.faults[2].phase, "merge");
+  EXPECT_EQ(again.faults[3].kind, FaultKind::kHang);
+  EXPECT_EQ(again.faults[3].tuple, 300);
 }
 
 TEST(FaultPlan, EmptyTextIsEmptyPlan) {
@@ -98,6 +110,8 @@ TEST(FaultPlan, RejectsMalformedClauses) {
   EXPECT_FALSE(FaultPlan::Parse("drop:color=red").ok());
   EXPECT_FALSE(FaultPlan::Parse("crash:tuple=5").ok());          // no node
   EXPECT_FALSE(FaultPlan::Parse("crash:node=1").ok());  // no trigger
+  EXPECT_FALSE(FaultPlan::Parse("hang:node=1").ok());   // no trigger
+  EXPECT_FALSE(FaultPlan::Parse("hang:tuple=5").ok());  // no node
   EXPECT_FALSE(FaultPlan::Parse("straggle:node=1").ok());        // no secs
   EXPECT_FALSE(FaultPlan::Parse("delay:from=0,to=1").ok());      // no secs
   EXPECT_FALSE(FaultPlan::Parse("seed=xyz").ok());
@@ -225,6 +239,21 @@ TEST(FaultyTransport, FailStopSwallowsEverything) {
   Message abort;
   abort.type = MessageType::kAbort;
   ASSERT_OK(faulty.Send(1, std::move(abort)));
+  // The peer learns of the close, and of nothing sent after it.
+  std::optional<Message> notice = mesh[1]->TryRecv();
+  ASSERT_TRUE(notice.has_value());
+  EXPECT_EQ(notice->type, MessageType::kPeerClosed);
+  EXPECT_EQ(notice->from, 0);
+  EXPECT_FALSE(mesh[1]->TryRecv().has_value());
+}
+
+TEST(FaultyTransport, HangSwallowsEverythingAndStaysOpen) {
+  FaultPlan plan;
+  auto mesh = MakeInprocMesh(2);
+  FaultyTransport faulty(std::move(mesh[0]), plan);
+  faulty.SimulateHang();
+  ASSERT_OK(faulty.Send(1, DataMsg(1)));
+  // No data and no close notice: the peer hears nothing at all.
   EXPECT_FALSE(mesh[1]->TryRecv().has_value());
 }
 

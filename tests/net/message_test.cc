@@ -155,6 +155,21 @@ TEST(Message, BadTypeRejectedEvenWithValidChecksum) {
   EXPECT_NE(got.status().message().find("type"), std::string::npos);
 }
 
+TEST(Message, PeerClosedNeverComesOffTheWire) {
+  // kPeerClosed is synthesized by a receiving endpoint when a peer's
+  // connection ends. A correctly signed frame claiming that type must
+  // still be rejected, so no remote can forge another node's close.
+  Message m = PeerClosedNotice(2);
+  std::vector<uint8_t> wire = m.Serialize();
+  uint8_t* frame = wire.data() + 4;
+  const size_t frame_len = wire.size() - 4;
+  ASSERT_EQ(frame[4], 7);
+  auto got = Message::Deserialize(frame, frame_len);
+  ASSERT_FALSE(got.ok());
+  EXPECT_NE(got.status().message().find("type"), std::string::npos);
+  EXPECT_EQ(MessageTypeToString(MessageType::kPeerClosed), "peer-closed");
+}
+
 TEST(Message, CorruptedByteFailsTheChecksum) {
   Message m;
   m.type = MessageType::kRawPage;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
+#include <vector>
 
 namespace adaptagg {
 namespace {
@@ -129,6 +131,61 @@ TEST(TcpTransport, ConcurrentSendersToOneReceiver) {
   s2.join();
   EXPECT_EQ(counts[1], kEach);
   EXPECT_EQ(counts[2], kEach);
+}
+
+// Fail-stop contract, shared by every substrate: node 0's pages arrive
+// in order, then exactly one kPeerClosed from node 0, then nothing (the
+// sends after the close are swallowed).
+void ExpectOneCloseBehindData(std::vector<std::unique_ptr<Transport>>& mesh) {
+  constexpr uint8_t kPages = 50;
+  for (uint8_t i = 0; i < kPages; ++i) {
+    for (int to : {1, 2}) {
+      ASSERT_TRUE(
+          mesh[0]->Send(to, Make(MessageType::kRawPage, 1, {i})).ok());
+    }
+  }
+  mesh[0]->SimulateFailStop();
+  mesh[0]->SimulateFailStop();  // idempotent: still one notice
+  ASSERT_TRUE(mesh[0]->Send(1, Make(MessageType::kRawPage, 1, {99})).ok());
+  for (size_t peer : {size_t{1}, size_t{2}}) {
+    for (uint8_t i = 0; i < kPages; ++i) {
+      auto m = mesh[peer]->RecvWithDeadline(5.0);
+      ASSERT_TRUE(m.ok()) << m.status().ToString();
+      ASSERT_EQ(m->type, MessageType::kRawPage);
+      EXPECT_EQ(m->payload[0], i);
+    }
+    auto closed = mesh[peer]->RecvWithDeadline(5.0);
+    ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+    EXPECT_EQ(closed->type, MessageType::kPeerClosed);
+    EXPECT_EQ(closed->from, 0);
+    EXPECT_FALSE(mesh[peer]->RecvWithDeadline(0.1).ok());
+  }
+  // The crashed node hears no close of its own.
+  EXPECT_FALSE(mesh[0]->TryRecv().has_value());
+}
+
+TEST(InprocTransport, FailStopDeliversOneCloseBehindData) {
+  auto mesh = MakeInprocMesh(3);
+  ExpectOneCloseBehindData(mesh);
+}
+
+TEST(TcpTransport, FailStopDeliversOneCloseBehindData) {
+  auto mesh_or = MakeTcpMesh(3, 44400);
+  ASSERT_TRUE(mesh_or.ok()) << mesh_or.status().ToString();
+  ExpectOneCloseBehindData(*mesh_or);
+}
+
+TEST(TcpTransport, PeerTeardownDeliversClose) {
+  auto mesh_or = MakeTcpMesh(2, 44450);
+  ASSERT_TRUE(mesh_or.ok()) << mesh_or.status().ToString();
+  auto& mesh = *mesh_or;
+  // Node 0's destructor closes its sockets: node 1 sees the EOF.
+  mesh[0].reset();
+  auto closed = mesh[1]->RecvWithDeadline(5.0);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_EQ(closed->type, MessageType::kPeerClosed);
+  EXPECT_EQ(closed->from, 0);
+  EXPECT_FALSE(mesh[1]->RecvWithDeadline(0.1).ok());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // being guarded against is a hang (a crashed session wedging a shared
 // resource), so the suite runs under a hard ctest timeout.
 
+#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -78,6 +79,69 @@ TEST(ServeFault, CrashedQueryDoesNotPoisonItsNeighbors) {
   const RunResult& recovered = after->Wait();
   ASSERT_OK(recovered.status);
   EXPECT_TRUE(ResultSetsEqual(recovered.results, expected));
+
+  service->Shutdown();
+  EXPECT_EQ(service->resident_threads(), 0);
+}
+
+// The served twin of FailureDetection.CrashedPeerDetectedAtTransportSpeed:
+// the crashed session's endpoint closes inside the session router, its
+// peers abort at once, and the service replays it. Under the 30 s idle
+// deadline a silence-only detector could not finish in under 30 s.
+TEST(ServeFault, CrashedPeerDetectedAtTransportSpeed) {
+  WorkloadSpec workload;
+  workload.num_nodes = 4;
+  workload.num_tuples = 12'000;
+  workload.num_groups = 400;
+  ASSERT_OK_AND_ASSIGN(PartitionedRelation rel,
+                       GenerateRelation(workload));
+  ASSERT_OK_AND_ASSIGN(AggregationSpec spec,
+                       MakeBenchQuery(&rel.schema()));
+  ASSERT_OK_AND_ASSIGN(ResultSet expected, ReferenceAggregate(spec, rel));
+
+  ServiceConfig config;
+  config.params = SmallClusterParams(4, 12'000);
+  config.cache_entries = 0;
+  config.scheduler.max_inflight = 3;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ClusterService> service,
+                       ClusterService::Start(config, &rel));
+
+  ServeQuery healthy;
+  healthy.spec = spec;
+  healthy.algorithm = AlgorithmKind::kRepartitioning;
+
+  ServeQuery doomed = healthy;
+  ASSERT_OK_AND_ASSIGN(doomed.options.fault_plan,
+                       FaultPlan::Parse("crash:node=1,tuple=500"));
+  doomed.options.failure.recv_idle_timeout_s = 30.0;
+  doomed.options.recovery.enabled = true;
+
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_OK_AND_ASSIGN(QueryTicketPtr left, service->Submit(healthy));
+  ASSERT_OK_AND_ASSIGN(QueryTicketPtr mid, service->Submit(doomed));
+  ASSERT_OK_AND_ASSIGN(QueryTicketPtr right, service->Submit(healthy));
+
+  const RunResult& replayed = mid->Wait();
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    start)
+          .count();
+  ASSERT_OK(replayed.status);
+  EXPECT_TRUE(ResultSetsEqual(replayed.results, expected));
+  EXPECT_EQ(replayed.metrics.Value("recovery.attempts"), 1);
+  EXPECT_LT(elapsed, 5.0);
+
+  for (const QueryTicketPtr& ticket : {left, right}) {
+    const RunResult& run = ticket->Wait();
+    ASSERT_OK(run.status);
+    EXPECT_TRUE(ResultSetsEqual(run.results, expected));
+    EXPECT_EQ(run.metrics.Value("fault.peer_closed"), 0);
+  }
+
+  MetricsSnapshot metrics = service->Metrics();
+  EXPECT_EQ(metrics.Value("serve.recovery.replays"), 1);
+  EXPECT_EQ(metrics.Value("serve.completed"), 3);
+  EXPECT_EQ(metrics.Value("serve.aborted"), 0);
 
   service->Shutdown();
   EXPECT_EQ(service->resident_threads(), 0);

@@ -1,5 +1,6 @@
 #include "net/session_router.h"
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,14 +110,21 @@ TEST(SessionRouter, FailStopIsPerSessionEndpoint) {
   ASSERT_OK_AND_ASSIGN(auto b, router.OpenSession(8));
 
   a[0]->SimulateFailStop();
-  // The dead endpoint swallows sends (a crashed node notifies nobody)...
+  // The dead endpoint swallows sends; its session peer gets exactly one
+  // close notice and nothing sent after it...
   ASSERT_OK(a[0]->Send(1, MakeFrame(MessageType::kControl, "never")));
+  ASSERT_OK_AND_ASSIGN(Message closed, a[1]->RecvWithDeadline(5.0));
+  EXPECT_EQ(closed.type, MessageType::kPeerClosed);
+  EXPECT_EQ(closed.from, 0);
   // ...while the co-resident session on the same physical node is
-  // unaffected.
+  // unaffected and sees no close.
   ASSERT_OK(b[0]->Send(1, MakeFrame(MessageType::kControl, "alive")));
   ASSERT_OK_AND_ASSIGN(Message mb, b[1]->RecvWithDeadline(5.0));
   EXPECT_EQ(PayloadOf(mb), "alive");
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_FALSE(a[1]->TryRecv().has_value());
+  EXPECT_FALSE(b[1]->TryRecv().has_value());
+  EXPECT_FALSE(b[0]->TryRecv().has_value());
 }
 
 TEST(SessionRouter, StopJoinsDemuxThreadsIdempotently) {
