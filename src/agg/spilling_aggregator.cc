@@ -1,5 +1,7 @@
 #include "agg/spilling_aggregator.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/random.h"
 
@@ -43,6 +45,12 @@ SpillingAggregator::SpillingAggregator(const AggregationSpec* spec,
       << "aggregation overflow recursion too deep";
 }
 
+SpillingAggregator::~SpillingAggregator() {
+  // Best effort on an abandoned aggregation: a bucket Finish already
+  // dropped reports NotFound, and no answer depends on the status.
+  for (auto& bucket : buckets_) (void)bucket->Drop();
+}
+
 int SpillingAggregator::BucketOf(uint64_t hash) const {
   // Re-mix with a per-depth seed so each recursion level splits on
   // independent bits, even though the same base hash is reused.
@@ -64,26 +72,6 @@ Status SpillingAggregator::EnsureBuckets() {
   }
   stats_.buckets_created += fanout_;
   return Status::OK();
-}
-
-Status SpillingAggregator::Add(SpillTag tag, const uint8_t* record,
-                               uint64_t hash) {
-  AggHashTable::UpsertResult r =
-      tag == SpillTag::kRaw ? table_.UpsertProjected(record, hash)
-                            : table_.UpsertPartial(record, hash);
-  if (r != AggHashTable::UpsertResult::kFull) return Status::OK();
-  ADAPTAGG_RETURN_IF_ERROR(EnsureBuckets());
-  ++stats_.overflow_records;
-  return buckets_[static_cast<size_t>(BucketOf(hash))]->Append(tag, record);
-}
-
-Status SpillingAggregator::AddProjected(const uint8_t* proj) {
-  return Add(SpillTag::kRaw, proj, spec_->HashKey(spec_->KeyOfProjected(proj)));
-}
-
-Status SpillingAggregator::AddPartial(const uint8_t* partial) {
-  return Add(SpillTag::kPartial, partial,
-             spec_->HashKey(spec_->KeyOfPartial(partial)));
 }
 
 Status SpillingAggregator::AddProjectedBatch(const TupleBatch& batch) {
@@ -135,8 +123,14 @@ Status SpillingAggregator::RestoreFrom(const uint8_t* data, size_t size) {
                             "of records: " + std::to_string(size) +
                             " bytes / width " + std::to_string(width));
   }
-  for (size_t off = 0; off < size; off += width) {
-    ADAPTAGG_RETURN_IF_ERROR(AddPartial(data + off));
+  TupleBatch batch(spec_);
+  const size_t records = size / width;
+  for (size_t i = 0; i < records; i += kBatchWidth) {
+    batch.BindView(data + i * width, static_cast<int>(width),
+                   static_cast<int>(std::min<size_t>(kBatchWidth,
+                                                     records - i)));
+    batch.ComputeHashes();
+    ADAPTAGG_RETURN_IF_ERROR(AddPartialBatch(batch));
   }
   return Status::OK();
 }
@@ -149,6 +143,8 @@ Status SpillingAggregator::Finish(const EmitFn& emit) {
       [&](const uint8_t* key, const uint8_t* state) { emit(key, state); });
   table_.Clear();
 
+  TupleBatch batch(spec_);
+
   for (auto& bucket : buckets_) {
     ADAPTAGG_RETURN_IF_ERROR(bucket->Flush());
     stats_.spill_pages_written += bucket->num_pages();
@@ -158,14 +154,18 @@ Status SpillingAggregator::Finish(const EmitFn& emit) {
     }
     SpillingAggregator child(spec_, disk_, max_entries_, fanout_, name_,
                              depth_ + 1);
+    // Replay the bucket in same-tag runs of one page, bound in place as
+    // strided batches. The child sees the records in file order, so its
+    // overflow decisions (and thus pages and SpillStats) do not depend
+    // on where the runs are cut.
     SpillReader reader(bucket.get());
-    SpillTag tag;
-    const uint8_t* record = nullptr;
-    while (reader.Next(&tag, &record)) {
-      uint64_t hash =
-          spec_->HashKey(tag == SpillTag::kRaw ? spec_->KeyOfProjected(record)
-                                               : spec_->KeyOfPartial(record));
-      ADAPTAGG_RETURN_IF_ERROR(child.Add(tag, record, hash));
+    SpillRun run;
+    while (reader.NextRun(kBatchWidth, &run)) {
+      batch.BindView(run.records, run.stride, run.count);
+      batch.ComputeHashes();
+      ADAPTAGG_RETURN_IF_ERROR(run.tag == SpillTag::kRaw
+                                   ? child.AddProjectedBatch(batch)
+                                   : child.AddPartialBatch(batch));
     }
     ADAPTAGG_RETURN_IF_ERROR(reader.status());
     stats_.spill_pages_read += reader.pages_read();

@@ -29,7 +29,7 @@ struct SpillStats {
 /// aggregate records (the Adaptive Two Phase global phase receives both),
 /// and the spill format preserves that distinction.
 ///
-/// Usage: Add* any number of records, then Finish(emit) exactly once.
+/// Usage: Add*Batch any number of batches, then Finish(emit) exactly once.
 /// `emit` receives every group exactly once as (key, state).
 class SpillingAggregator {
  public:
@@ -39,23 +39,24 @@ class SpillingAggregator {
   SpillingAggregator(const AggregationSpec* spec, Disk* disk,
                      int64_t max_entries, int fanout = 8,
                      std::string name = "spill");
+  /// Deletes any bucket files Finish did not consume (an aborted query).
+  ~SpillingAggregator();
+
+  SpillingAggregator(const SpillingAggregator&) = delete;
+  SpillingAggregator& operator=(const SpillingAggregator&) = delete;
 
   using EmitFn =
       std::function<void(const uint8_t* key, const uint8_t* state)>;
 
-  Status AddProjected(const uint8_t* proj);
-  Status AddPartial(const uint8_t* partial);
-
-  /// Batch form of AddProjected: one fused, prefetched table pass for
-  /// the whole batch, then record-at-a-time spilling of the (rare)
-  /// overflow misses. Behaviorally identical to calling AddProjected on
-  /// every record in order.
+  /// Adds a batch of projected records (hashes computed): one fused,
+  /// prefetched table pass, then the records the full table refused go,
+  /// in batch order, to their overflow buckets. The outcome depends only
+  /// on the record sequence, not on how it is cut into batches.
   Status AddProjectedBatch(const TupleBatch& batch);
 
-  /// Batch form of AddPartial: the batch views partial records (e.g. a
-  /// received kPartialPage run) and the table pass merges states through
-  /// the spec's fused merge kernel. Behaviorally identical to calling
-  /// AddPartial on every record in order.
+  /// Partial-record form of AddProjectedBatch: the batch views partial
+  /// records (e.g. a received kPartialPage run) and the table pass merges
+  /// states through the spec's fused merge kernel.
   Status AddPartialBatch(const TupleBatch& batch);
 
   /// Emits all groups (table first, then recursive buckets) and releases
@@ -100,7 +101,6 @@ class SpillingAggregator {
                      int64_t max_entries, int fanout, std::string name,
                      int depth);
 
-  Status Add(SpillTag tag, const uint8_t* record, uint64_t hash);
   Status EnsureBuckets();
   int BucketOf(uint64_t hash) const;
 

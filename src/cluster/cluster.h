@@ -38,7 +38,8 @@ struct RunResult {
   double wall_time_s = 0;
   std::vector<CostClock> clocks;
   std::vector<NodeRunStats> node_stats;
-  /// Gathered final rows (when options.gather_results).
+  /// Final rows, each node's in emit order, nodes in id order (when
+  /// options.gather_results).
   ResultSet results;
   /// Merged metric snapshot over every node's registry shard.
   MetricsSnapshot metrics;

@@ -364,9 +364,7 @@ Status NodeContext::EmitFinalRow(const uint8_t* key, const uint8_t* state) {
     }
     ADAPTAGG_RETURN_IF_ERROR(result_file_->AppendRaw(row_buf_.data()));
   }
-  if (options_.gather_results && gather_ != nullptr) {
-    gather_->Append(row_buf_.data(), row_buf_.size());
-  }
+  if (options_.gather_results) rows_.push_back(row_buf_);
   return Status::OK();
 }
 
@@ -375,6 +373,12 @@ Status NodeContext::FinishResults() {
     ADAPTAGG_RETURN_IF_ERROR(result_file_->Flush());
   }
   SyncDiskIo();
+  if (result_file_ != nullptr) {
+    // Deleting charges nothing, so modeled time is unaffected; a resident
+    // service's disks would otherwise grow by every query's result.
+    ADAPTAGG_RETURN_IF_ERROR(result_file_->Drop());
+    result_file_.reset();
+  }
   return Status::OK();
 }
 

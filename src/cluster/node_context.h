@@ -10,7 +10,6 @@
 #include "agg/agg_spec.h"
 #include "agg/batch_kernels.h"
 #include "agg/spilling_aggregator.h"
-#include "cluster/gather_sink.h"
 #include "exec/expression.h"
 #include "exec/operator.h"
 #include "net/fault.h"
@@ -279,15 +278,20 @@ class NodeContext {
   // --- result emission ---
   /// Finalizes (key, state) into a result row: charges t_w, stores it to
   /// the local result file (when the node has a disk), as the paper's
-  /// store operator does, and gathers it (if gather_results).
+  /// store operator does, and keeps a copy in this node's row buffer (if
+  /// gather_results).
   Status EmitFinalRow(const uint8_t* key, const uint8_t* state);
 
-  /// Flushes the result file and syncs I/O. Call once per node at the end.
+  /// Flushes the result file, syncs (charges) its I/O, then deletes it:
+  /// the store's cost is the model's, and nothing reads the rows back.
+  /// Call once per node at the end.
   Status FinishResults();
 
-  /// Wires up central gathering (done by QueryExecution). The sink owns its
-  /// lock, so the node only ever sees annotated operations.
-  void SetGather(GatherSink* sink) { gather_ = sink; }
+  /// Moves out the rows this node emitted, in emit order. The buffer is
+  /// the node thread's alone, unlocked: call only once that thread is
+  /// done with the attempt (after join, or after the acq_rel countdown
+  /// in QueryExecution::RunNode has seen every node finish).
+  std::vector<std::vector<uint8_t>> TakeRows() { return std::move(rows_); }
 
  private:
   /// Admission control for one message popped off the transport:
@@ -340,7 +344,7 @@ class NodeContext {
 
   std::unique_ptr<HeapFile> result_file_;
   std::vector<uint8_t> row_buf_;
-  GatherSink* gather_ = nullptr;
+  std::vector<std::vector<uint8_t>> rows_;
 };
 
 /// This node's local input pipeline (§2's operator architecture): a

@@ -138,7 +138,6 @@ void QueryExecution::BeginAttempt(
   }
   transports_ = std::move(transports);
   net_ = std::make_unique<NetworkModel>(params_);
-  gathered_ = std::make_unique<GatherSink>();
 
   contexts_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -148,7 +147,6 @@ void QueryExecution::BeginAttempt(
         i, params_, spec_, options_, s.partition, s.disk, transport,
         net_.get(), wall_epoch_s_));
     NodeContext& ctx = *contexts_.back();
-    ctx.SetGather(gathered_.get());
     if (recovery_ != nullptr) ctx.SetRecovery(&recovery_->node(i));
     if (inject_faults) {
       static_cast<FaultyTransport*>(transport)->set_observer(
@@ -246,7 +244,22 @@ RunResult QueryExecution::Finish() {
   result.num_nodes = n;
   result.clocks.reserve(static_cast<size_t>(n));
   result.node_stats.reserve(static_cast<size_t>(n));
+  result.results.schema = spec_.final_schema();
+  std::vector<std::vector<uint8_t>>& rows = result.results.rows;
+  if (options_.gather_results) {
+    // One exact allocation instead of geometric growth: on many_groups
+    // the row index alone is tens of MB, and the overshoot showed in
+    // peak RSS.
+    int64_t total_rows = 0;
+    for (const auto& ctx : contexts_) total_rows += ctx->stats().result_rows;
+    rows.reserve(static_cast<size_t>(total_rows));
+  }
   for (const auto& ctx : contexts_) {
+    // Every node thread is done (joined, or counted out by RunNode's
+    // acq_rel countdown), so its unlocked row buffer is ours to move.
+    std::vector<std::vector<uint8_t>> node_rows = ctx->TakeRows();
+    rows.insert(rows.end(), std::make_move_iterator(node_rows.begin()),
+                std::make_move_iterator(node_rows.end()));
     result.sim_time_s = std::max(result.sim_time_s, ctx->clock().now());
     result.clocks.push_back(ctx->clock());
     result.node_stats.push_back(ctx->stats());
@@ -264,8 +277,6 @@ RunResult QueryExecution::Finish() {
   result.wire_time_s = net_->serialized_wire_s();
   result.sim_time_s += result.wire_time_s;
 
-  result.results.schema = spec_.final_schema();
-  result.results.rows = gathered_->TakeRows();
   return result;
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "cluster/gather_sink.h"
 #include "cluster/node_context.h"
 #include "cluster/recovery.h"
 
@@ -38,11 +37,12 @@ Status ValidateRunOptions(const AggregationSpec& spec,
 ///   } while (exec.PrepareReplay());  // an injected crash earns a replay
 ///   RunResult result = exec.Finish();
 ///
-/// Each attempt runs over fresh transports, network model, gather sink
-/// and node contexts; only the recovery runtime (and its checkpoint
-/// store) and the trace wall epoch live for the whole query, so a replay
-/// reads what the crashed attempt checkpointed and every attempt's trace
-/// events share one timeline origin.
+/// Each attempt runs over fresh transports, network model and node
+/// contexts (each context buffers its own emitted rows); only the
+/// recovery runtime (and its checkpoint store) and the trace wall epoch
+/// live for the whole query, so a replay reads what the crashed attempt
+/// checkpointed and every attempt's trace events share one timeline
+/// origin.
 class QueryExecution {
  public:
   /// One node's storage for an attempt: the partition it scans and the
@@ -65,9 +65,8 @@ class QueryExecution {
 
   /// Starts an attempt over one endpoint and one NodeStorage per node:
   /// wraps each endpoint in a FaultyTransport when the fault plan is
-  /// non-empty, and builds the network model, gather sink and node
-  /// contexts. Every frame of the attempt carries `wire_query_id` and
-  /// `epoch`.
+  /// non-empty, and builds the network model and node contexts. Every
+  /// frame of the attempt carries `wire_query_id` and `epoch`.
   void BeginAttempt(std::vector<std::unique_ptr<Transport>> transports,
                     const std::vector<NodeStorage>& storage,
                     uint32_t wire_query_id, uint32_t epoch);
@@ -92,7 +91,7 @@ class QueryExecution {
   /// root cause among node statuses), wall time, modeled times, stats,
   /// merged metrics (with recovery.attempts and one
   /// recovery.attempt_wall_us observation per attempt), trace events and
-  /// gathered rows.
+  /// the nodes' rows, concatenated in node order.
   RunResult Finish();
 
  private:
@@ -114,7 +113,6 @@ class QueryExecution {
   // Per-attempt state, rebuilt by BeginAttempt.
   std::vector<std::unique_ptr<Transport>> transports_;
   std::unique_ptr<NetworkModel> net_;
-  std::unique_ptr<GatherSink> gathered_;
   std::vector<std::unique_ptr<NodeContext>> contexts_;
   std::vector<Status> statuses_;
   double attempt_start_s_ = 0;

@@ -7,9 +7,10 @@
 namespace adaptagg {
 
 /// CRC-32C (Castagnoli polynomial 0x1EDC6F41, reflected 0x82F63B78), the
-/// checksum used by iSCSI/ext4 and hardware-accelerated on SSE4.2. This
-/// is a portable table-driven implementation: message frames are at most
-/// a few KB, so software CRC is far below protocol-cost noise.
+/// checksum used by iSCSI/ext4. It signs every TCP frame, spill page and
+/// checkpoint page, so it sits on the overflow path's hot loop. This is
+/// portable slice-by-8: eight table lookups fold eight bytes at a time,
+/// with no intrinsics, and the result equals byte-at-a-time CRC-32C.
 ///
 /// Extends `crc` with `len` bytes at `data`; pass 0 to start a fresh
 /// checksum. Composable: Crc32c(Crc32c(0, a, n), b, m) checksums a||b.

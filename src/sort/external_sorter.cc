@@ -71,6 +71,12 @@ void SortRecords(uint8_t* data, int64_t count, int width,
 
 }  // namespace
 
+ExternalSorter::~ExternalSorter() {
+  // Deleting charges no modeled I/O; a file that is already gone (or a
+  // failed delete) changes no answer, so the status is not needed.
+  for (FileId file : run_files_) (void)disk_->DeleteFile(file);
+}
+
 Status ExternalSorter::FlushRun() {
   if (in_buffer_ == 0) return Status::OK();
   SortRecords(buffer_.data(), in_buffer_, record_width_,

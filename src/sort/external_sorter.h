@@ -27,6 +27,12 @@ class ExternalSorter {
   /// `key_offset`/`key_width` locate the memcmp key inside each record.
   ExternalSorter(Disk* disk, int record_width, int key_offset,
                  int key_width, int64_t max_records, std::string name);
+  /// Deletes the run files, so a resident service's disks do not grow
+  /// by every sort-based query.
+  ~ExternalSorter();
+
+  ExternalSorter(const ExternalSorter&) = delete;
+  ExternalSorter& operator=(const ExternalSorter&) = delete;
 
   Status Add(const uint8_t* record);
 

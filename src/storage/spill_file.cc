@@ -88,8 +88,9 @@ bool SpillReader::LoadPage(int64_t index) {
     status_ = st;
     return false;
   }
-  std::memcpy(&frames_in_page_, page_bytes_.data(), sizeof(frames_in_page_));
-  if (frames_in_page_ & kCrcSignedFlag) {
+  uint32_t frames;
+  std::memcpy(&frames, page_bytes_.data(), sizeof(frames));
+  if (frames & kCrcSignedFlag) {
     const size_t page_size = page_bytes_.size();
     uint32_t stored;
     std::memcpy(&stored, page_bytes_.data() + page_size - 4, 4);
@@ -100,8 +101,9 @@ bool SpillReader::LoadPage(int64_t index) {
           " failed CRC-32C (torn or corrupted write)");
       return false;
     }
-    frames_in_page_ &= ~kCrcSignedFlag;
+    frames &= ~kCrcSignedFlag;
   }
+  frames_in_page_ = frames;
   frame_in_page_ = 0;
   offset_ = sizeof(uint32_t);
   next_page_ = index + 1;
@@ -109,16 +111,45 @@ bool SpillReader::LoadPage(int64_t index) {
   return true;
 }
 
-bool SpillReader::Next(SpillTag* tag, const uint8_t** record) {
+bool SpillReader::NextRun(int max_frames, SpillRun* run) {
+  // Errors are sticky: the current page may be the one that failed.
+  if (!status_.ok()) return false;
   while (frame_in_page_ >= frames_in_page_) {
     if (!LoadPage(next_page_)) return false;
   }
-  *tag = static_cast<SpillTag>(page_bytes_[static_cast<size_t>(offset_)]);
-  *record = page_bytes_.data() + offset_ + 1;
-  int width = (*tag == SpillTag::kRaw) ? writer_->raw_width()
-                                       : writer_->partial_width();
-  offset_ += 1 + width;
-  ++frame_in_page_;
+  // Every frame must lie inside the page, which an unsigned (exactly
+  // full) page with a damaged header or tag byte could otherwise break.
+  const uint8_t* page = page_bytes_.data();
+  const size_t page_size = page_bytes_.size();
+  auto malformed = [&]() {
+    status_ = Status::DataLoss("spill page " + std::to_string(next_page_ - 1) +
+                               " frame " + std::to_string(frame_in_page_) +
+                               " is malformed");
+    return false;
+  };
+  if (static_cast<size_t>(offset_) >= page_size) return malformed();
+  const uint8_t tag_byte = page[offset_];
+  const int width = tag_byte == static_cast<uint8_t>(SpillTag::kRaw)
+                        ? writer_->raw_width()
+                    : tag_byte == static_cast<uint8_t>(SpillTag::kPartial)
+                        ? writer_->partial_width()
+                        : 0;
+  const int stride = 1 + width;
+  run->tag = static_cast<SpillTag>(tag_byte);
+  run->records = page + offset_ + 1;
+  run->stride = stride;
+  run->count = 0;
+  // Extend the run while the next frame carries the same tag.
+  do {
+    if (width == 0 || static_cast<size_t>(offset_ + stride) > page_size) {
+      return malformed();
+    }
+    offset_ += stride;
+    ++frame_in_page_;
+    ++run->count;
+  } while (run->count < max_frames && frame_in_page_ < frames_in_page_ &&
+           static_cast<size_t>(offset_) < page_size &&
+           page[offset_] == tag_byte);
   return true;
 }
 

@@ -70,17 +70,30 @@ class SpillWriter {
   int64_t num_pages_ = 0;
 };
 
-/// Sequentially reads back a flushed spill file.
+/// A run of consecutive same-tag frames within one spill page: `count`
+/// records of the tag's width, `stride` (= 1 + width) bytes apart, the
+/// first at `records` (just past its tag byte). The tag bytes between
+/// records are skipped by the stride, so a run can be bound as a strided
+/// record view without copying.
+struct SpillRun {
+  SpillTag tag = SpillTag::kRaw;
+  const uint8_t* records = nullptr;
+  int stride = 0;
+  int count = 0;
+};
+
+/// Sequentially reads back a flushed spill file, one run at a time.
 class SpillReader {
  public:
   explicit SpillReader(const SpillWriter* writer);
 
-  /// Returns the next record, or false at end of file or on a disk error
-  /// — distinguish by checking status(). `*tag` and `*record` are valid
-  /// until the following Next() call.
-  bool Next(SpillTag* tag, const uint8_t** record);
+  /// Returns the next run of at most `max_frames` (>= 1) same-tag frames,
+  /// all from one page and in file order, or false at end of file or on
+  /// an error — distinguish by checking status(). The run's records are
+  /// valid until the following NextRun() call.
+  bool NextRun(int max_frames, SpillRun* run);
 
-  /// OK unless a page read failed.
+  /// OK unless a page read failed or a page failed verification.
   const Status& status() const { return status_; }
 
   int64_t pages_read() const { return pages_read_; }

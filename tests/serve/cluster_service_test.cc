@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "cluster/run_report.h"
 #include "core/algorithm.h"
 #include "exec/expression.h"
+#include "net/fault.h"
 #include "test_util.h"
 
 namespace adaptagg {
@@ -135,6 +137,75 @@ TEST(ClusterService, ConcurrentQueriesMatchSequentialRuns) {
 
   service->Shutdown();
   EXPECT_EQ(service->resident_threads(), 0);
+}
+
+/// Files live on `disk` and their total bytes, found by probing every id
+/// below a fresh marker file (which is deleted again).
+std::pair<int64_t, int64_t> DiskUsage(Disk& disk) {
+  Result<FileId> marker = disk.CreateFile("usage.marker");
+  EXPECT_TRUE(marker.ok());
+  if (!marker.ok()) return {-1, -1};
+  int64_t files = 0;
+  int64_t bytes = 0;
+  for (FileId id = 1; id < *marker; ++id) {
+    Result<int64_t> pages = disk.NumPages(id);
+    if (!pages.ok()) continue;
+    ++files;
+    bytes += *pages * disk.page_size();
+  }
+  EXPECT_TRUE(disk.DeleteFile(*marker).ok());
+  return {files, bytes};
+}
+
+// A resident service must not accumulate per-query files: result files
+// are dropped once charged, spill buckets once replayed (or with their
+// aggregator when a query aborts first) and sort runs with their
+// sorter, so the node disks hold only the relation however many
+// queries have run.
+TEST(ClusterService, DiskUsageStaysFlatAcrossServedQueries) {
+  ASSERT_OK_AND_ASSIGN(PartitionedRelation rel,
+                       MakeServedRelation(2, 6'000, 2'000));
+  ServiceConfig config;
+  config.params = SmallClusterParams(2, 6'000, /*max_hash_entries=*/64);
+  config.cache_entries = 0;  // every query executes
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ClusterService> service,
+                       ClusterService::Start(config, &rel));
+  ASSERT_OK_AND_ASSIGN(AggregationSpec spec,
+                       MakeBenchQuery(&rel.schema()));
+  ASSERT_OK_AND_ASSIGN(ResultSet expected, ReferenceAggregate(spec, rel));
+
+  const std::pair<int64_t, int64_t> before[] = {DiskUsage(rel.disk(0)),
+                                                DiskUsage(rel.disk(1))};
+  EXPECT_EQ(before[0].first, 1);  // the node's partition
+  const std::vector<AlgorithmKind> kinds = AllAlgorithms();
+  for (size_t q = 0; q < 2 * kinds.size(); ++q) {
+    ServeQuery query;
+    query.spec = spec;
+    query.algorithm = kinds[q % kinds.size()];
+    ASSERT_OK_AND_ASSIGN(QueryTicketPtr ticket, service->Submit(query));
+    const RunResult& run = ticket->Wait();
+    ASSERT_OK(run.status);
+    EXPECT_GT(run.total_result_rows(), 0);
+    EXPECT_TRUE(ResultSetsEqual(run.results, expected));
+    for (int node = 0; node < 2; ++node) {
+      EXPECT_EQ(DiskUsage(rel.disk(node)), before[node])
+          << "node " << node << " after query " << q << " ("
+          << AlgorithmKindToString(query.algorithm) << ")";
+    }
+  }
+
+  // Node 1 stops at the emit boundary with its overflow buckets still
+  // unread: the aborted query must not leave them behind.
+  ServeQuery doomed;
+  doomed.spec = spec;
+  doomed.algorithm = AlgorithmKind::kRepartitioning;
+  ASSERT_OK_AND_ASSIGN(doomed.options.fault_plan,
+                       FaultPlan::Parse("crash:node=1,phase=emit"));
+  ASSERT_OK_AND_ASSIGN(QueryTicketPtr ticket, service->Submit(doomed));
+  EXPECT_FALSE(ticket->Wait().status.ok());
+  for (int node = 0; node < 2; ++node) {
+    EXPECT_EQ(DiskUsage(rel.disk(node)), before[node]) << "node " << node;
+  }
 }
 
 TEST(ClusterService, ResubmissionIsServedFromTheCache) {

@@ -4,8 +4,40 @@
 
 #include <cstring>
 
+#include "storage/faulty_disk.h"
+
 namespace adaptagg {
 namespace {
+
+/// One frame read back: its tag and record bytes.
+struct Frame {
+  SpillTag tag;
+  std::vector<uint8_t> bytes;
+};
+
+/// Reads `writer`'s file back run by run and flattens the runs into
+/// frames, checking each run's shape on the way: non-empty, at most
+/// `max_frames` long, stride = 1 + the tag's width.
+std::vector<Frame> ReadAll(const SpillWriter& writer, int max_frames,
+                           int64_t* pages_read = nullptr) {
+  SpillReader reader(&writer);
+  std::vector<Frame> frames;
+  SpillRun run;
+  while (reader.NextRun(max_frames, &run)) {
+    const int width = run.tag == SpillTag::kRaw ? writer.raw_width()
+                                                : writer.partial_width();
+    EXPECT_GE(run.count, 1);
+    EXPECT_LE(run.count, max_frames);
+    EXPECT_EQ(run.stride, 1 + width);
+    for (int i = 0; i < run.count; ++i) {
+      const uint8_t* rec = run.records + static_cast<size_t>(i) * run.stride;
+      frames.push_back({run.tag, std::vector<uint8_t>(rec, rec + width)});
+    }
+  }
+  EXPECT_TRUE(reader.status().ok()) << reader.status().ToString();
+  if (pages_read != nullptr) *pages_read = reader.pages_read();
+  return frames;
+}
 
 class SpillFileTest : public ::testing::Test {
  protected:
@@ -37,22 +69,125 @@ TEST_F(SpillFileTest, MixedTagRoundtrip) {
   EXPECT_EQ(w.num_records(), 100);
   EXPECT_GT(w.num_pages(), 1);
 
-  SpillReader reader(&w);
-  SpillTag tag;
-  const uint8_t* rec = nullptr;
-  int i = 0;
-  while (reader.Next(&tag, &rec)) {
-    if (i % 3 == 0) {
-      EXPECT_EQ(tag, SpillTag::kPartial);
-      EXPECT_EQ(rec[23], static_cast<uint8_t>(i));
-    } else {
-      EXPECT_EQ(tag, SpillTag::kRaw);
-      EXPECT_EQ(rec[15], static_cast<uint8_t>(i));
+  for (int max_frames : {1, 3, 128}) {
+    int64_t pages_read = 0;
+    std::vector<Frame> frames = ReadAll(w, max_frames, &pages_read);
+    ASSERT_EQ(frames.size(), 100u) << max_frames;
+    for (int i = 0; i < 100; ++i) {
+      const Frame& f = frames[static_cast<size_t>(i)];
+      if (i % 3 == 0) {
+        EXPECT_EQ(f.tag, SpillTag::kPartial);
+        EXPECT_EQ(f.bytes, std::vector<uint8_t>(24, static_cast<uint8_t>(i)));
+      } else {
+        EXPECT_EQ(f.tag, SpillTag::kRaw);
+        EXPECT_EQ(f.bytes, std::vector<uint8_t>(16, static_cast<uint8_t>(i)));
+      }
     }
-    ++i;
+    EXPECT_EQ(pages_read, w.num_pages());
   }
-  EXPECT_EQ(i, 100);
-  EXPECT_EQ(reader.pages_read(), w.num_pages());
+}
+
+TEST_F(SpillFileTest, RunsStopAtTagChangesPageEndsAndTheCap) {
+  // 256-byte pages hold 28 frames of 1+8 bytes: 40 raw, 5 partial, 40 raw
+  // frames make runs 28 | 12, 5, 11 | 28, 1 split by pages and tags.
+  SpillWriter w = MakeWriter(8, 8);
+  int64_t v = 0;
+  auto append = [&](SpillTag tag, int n) {
+    for (int i = 0; i < n; ++i, ++v) {
+      ASSERT_TRUE(w.Append(tag, reinterpret_cast<uint8_t*>(&v)).ok());
+    }
+  };
+  append(SpillTag::kRaw, 40);
+  append(SpillTag::kPartial, 5);
+  append(SpillTag::kRaw, 40);
+  ASSERT_TRUE(w.Flush().ok());
+  ASSERT_EQ(w.num_pages(), 4);
+
+  auto run_counts = [&](int max_frames) {
+    SpillReader reader(&w);
+    std::vector<int> counts;
+    SpillRun run;
+    int64_t expect = 0;
+    while (reader.NextRun(max_frames, &run)) {
+      counts.push_back(run.count);
+      for (int i = 0; i < run.count; ++i, ++expect) {
+        int64_t got;
+        std::memcpy(&got, run.records + static_cast<size_t>(i) * run.stride,
+                    8);
+        EXPECT_EQ(got, expect);
+      }
+    }
+    EXPECT_TRUE(reader.status().ok());
+    EXPECT_EQ(expect, 85);
+    return counts;
+  };
+  EXPECT_EQ(run_counts(128), (std::vector<int>{28, 12, 5, 11, 28, 1}));
+  EXPECT_EQ(run_counts(10),
+            (std::vector<int>{10, 10, 8, 10, 2, 5, 10, 1, 10, 10, 8, 1}));
+}
+
+TEST_F(SpillFileTest, CorruptedPageIsDataLoss) {
+  // 48 frames: a full (unsigned) first page of 28, then a signed page of
+  // 20 whose torn write zeroes its second half — frames and CRC word. The
+  // reader must refuse that page rather than decode it.
+  TornWriteDisk disk(256);
+  disk.TearWrite(1);
+  auto made = SpillWriter::Create(&disk, "spill", 8, 8);
+  ASSERT_TRUE(made.ok());
+  SpillWriter w = std::move(made).value();
+  for (int64_t v = 0; v < 48; ++v) {
+    ASSERT_TRUE(w.Append(SpillTag::kRaw, reinterpret_cast<uint8_t*>(&v)).ok());
+  }
+  ASSERT_TRUE(w.Flush().ok());
+  ASSERT_EQ(w.num_pages(), 2);
+
+  SpillReader reader(&w);
+  SpillRun run;
+  int64_t frames = 0;
+  while (reader.NextRun(128, &run)) frames += run.count;
+  EXPECT_EQ(frames, 28);  // the intact first page only
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(reader.status().message().find("spill page 1"),
+            std::string::npos)
+      << reader.status().ToString();
+  EXPECT_FALSE(reader.NextRun(128, &run));  // the error is sticky
+}
+
+/// A SimDisk whose reads return every page with its frame-count word
+/// overwritten: an unsigned header claiming far more frames than fit.
+class HeaderCorruptingDisk : public SimDisk {
+ public:
+  using SimDisk::SimDisk;
+  Status ReadPage(FileId file, int64_t index,
+                  std::vector<uint8_t>& out) override {
+    ADAPTAGG_RETURN_IF_ERROR(SimDisk::ReadPage(file, index, out));
+    const uint32_t frames = 0xFFFF;
+    std::memcpy(out.data(), &frames, sizeof(frames));
+    return Status::OK();
+  }
+};
+
+TEST_F(SpillFileTest, MalformedUnsignedPageIsDataLoss) {
+  // An unsigned page has no CRC to catch a damaged header; the reader
+  // must still stop at the page end instead of reading past it.
+  HeaderCorruptingDisk disk(256);
+  auto made = SpillWriter::Create(&disk, "spill", 8, 8);
+  ASSERT_TRUE(made.ok());
+  SpillWriter w = std::move(made).value();
+  for (int64_t v = 0; v < 28; ++v) {  // exactly one full, unsigned page
+    ASSERT_TRUE(w.Append(SpillTag::kRaw, reinterpret_cast<uint8_t*>(&v)).ok());
+  }
+  ASSERT_TRUE(w.Flush().ok());
+  ASSERT_EQ(w.num_pages(), 1);
+
+  SpillReader reader(&w);
+  SpillRun run;
+  int64_t frames = 0;
+  while (reader.NextRun(128, &run)) frames += run.count;
+  EXPECT_EQ(frames, 28);
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(reader.status().message().find("malformed"), std::string::npos)
+      << reader.status().ToString();
 }
 
 TEST_F(SpillFileTest, EmptySpill) {
@@ -60,9 +195,10 @@ TEST_F(SpillFileTest, EmptySpill) {
   ASSERT_TRUE(w.Flush().ok());
   EXPECT_EQ(w.num_pages(), 0);
   SpillReader reader(&w);
-  SpillTag tag;
-  const uint8_t* rec;
-  EXPECT_FALSE(reader.Next(&tag, &rec));
+  SpillRun run;
+  EXPECT_FALSE(reader.NextRun(128, &run));
+  EXPECT_TRUE(reader.status().ok());
+  EXPECT_EQ(reader.pages_read(), 0);
 }
 
 TEST_F(SpillFileTest, FlushMidStreamPreservesOrder) {
@@ -75,17 +211,20 @@ TEST_F(SpillFileTest, FlushMidStreamPreservesOrder) {
   ASSERT_TRUE(w.Flush().ok());
   EXPECT_EQ(w.num_pages(), 2);
 
+  // Each page holds one record, so each is a run of its own.
   SpillReader reader(&w);
-  SpillTag tag;
-  const uint8_t* rec;
-  ASSERT_TRUE(reader.Next(&tag, &rec));
+  SpillRun run;
   int64_t out;
-  std::memcpy(&out, rec, 8);
+  ASSERT_TRUE(reader.NextRun(128, &run));
+  ASSERT_EQ(run.count, 1);
+  std::memcpy(&out, run.records, 8);
   EXPECT_EQ(out, 1);
-  ASSERT_TRUE(reader.Next(&tag, &rec));
-  std::memcpy(&out, rec, 8);
+  ASSERT_TRUE(reader.NextRun(128, &run));
+  ASSERT_EQ(run.count, 1);
+  std::memcpy(&out, run.records, 8);
   EXPECT_EQ(out, 2);
-  EXPECT_FALSE(reader.Next(&tag, &rec));
+  EXPECT_FALSE(reader.NextRun(128, &run));
+  EXPECT_TRUE(reader.status().ok());
 }
 
 TEST_F(SpillFileTest, DoubleFlushNoEmptyPage) {

@@ -673,8 +673,7 @@ void CheckNoCheckpointIo(const std::string& rel,
 /// exact — AddBatch / AddIndices / AddProjectedBatch / AddPartialBatch
 /// are distinct identifiers and stay legal everywhere. The allowlist is
 /// the batch layer itself plus the record-at-a-time producers whose
-/// sources are not batches (Finish-callback drains, sampling key sets,
-/// spill replay).
+/// sources are not batches (Finish-callback drains, sampling key sets).
 bool ScalarDataPlaneAllowed(const std::string& rel) {
   return rel.rfind("src/agg/", 0) == 0 ||
          rel.rfind("src/cluster/exchange", 0) == 0 ||
