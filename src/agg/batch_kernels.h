@@ -19,15 +19,6 @@ inline constexpr int kBatchWidth = 128;
 /// prefetched lines are still resident when reached.
 inline constexpr int kPrefetchDistance = 8;
 
-/// Portable prefetch-for-read into all cache levels.
-inline void PrefetchRead(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
-#else
-  (void)p;
-#endif
-}
-
 /// Plain counters of one TupleBatch's gather activity, updated once per
 /// gather call (never per tuple). Single-threaded like the batch itself.
 struct BatchGatherStats {
@@ -86,8 +77,9 @@ class TupleBatch {
 
   /// Projects up to `n` consecutive raw records (`rec_size` bytes apart,
   /// starting at `recs`) in one call — a single memcpy when the
-  /// projection plan is the identity prefix of the record. Returns how
-  /// many were gathered (bounded by remaining batch room).
+  /// projection plan is the identity prefix of the record, and a
+  /// fixed-width copy loop when it is one 16-byte run. Returns how many
+  /// were gathered (bounded by remaining batch room).
   int GatherRun(const uint8_t* recs, int rec_size, int n);
 
   /// Hashes every record's key. Call once after gathering/BindView.

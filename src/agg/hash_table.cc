@@ -217,12 +217,13 @@ int AggHashTable::UpsertBatchImpl(const TupleBatch& batch, int from,
     // then, usually resident). Pure prefetches — collisions and inserts
     // between now and then only waste the hint, never correctness.
     if (i + kPrefetchDistance < n) {
-      PrefetchRead(&buckets_[hashes[i + kPrefetchDistance] & bucket_mask_]);
+      simd::PrefetchRead(
+          &buckets_[hashes[i + kPrefetchDistance] & bucket_mask_]);
     }
     if (i + kPrefetchDistance / 2 < n) {
       const int64_t ahead =
           buckets_[hashes[i + kPrefetchDistance / 2] & bucket_mask_];
-      if (ahead >= 0) PrefetchRead(arena + ahead * slot_width_);
+      if (ahead >= 0) simd::PrefetchRead(arena + ahead * slot_width_);
     }
 
     const uint8_t* rec = recs + static_cast<int64_t>(i) * stride;

@@ -2,7 +2,8 @@
 #define ADAPTAGG_COMMON_SIMD_H_
 
 // The word kernels of the batch hash and the fused aggregate/merge
-// updates, in portable C++: one code path on every host. DESIGN.md §6
+// updates, and the read prefetch shared by the hash-table probes and the
+// heap-page scan, in portable C++: one code path on every host. DESIGN.md §6
 // has the measurement that keeps it that way (hashing is under a tenth
 // of the per-tuple work). Raw intrinsics are banned everywhere in src/
 // by lint rule S11.
@@ -21,6 +22,19 @@ namespace simd {
 
 /// Names the kernel path stamped into benchmark JSON; always "scalar".
 inline const char* DispatchName() { return "scalar"; }
+
+/// Bytes per cache line on the hosts the engine targets (x86-64, and
+/// the common AArch64 cores).
+inline constexpr int kCacheLineBytes = 64;
+
+/// Portable prefetch-for-read into all cache levels.
+inline void PrefetchRead(const void* p) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
+#else
+  (void)p;
+#endif
+}
 
 /// Hashes the `words * 8`-byte key prefix of `n` records laid out
 /// `stride` bytes apart: per word `h = (h ^ word) * prime` starting from

@@ -50,16 +50,17 @@ Result<bool> DecideBySampling(NodeContext& ctx) {
   std::unordered_set<std::string> local_keys;
   int64_t sampled = 0;
   {
-    std::vector<uint8_t> page_bytes;
+    std::vector<uint8_t> scratch;
     std::vector<uint8_t> proj(static_cast<size_t>(spec.projected_width()));
     const double select_cost = p.t_r() + p.t_w();
     const double agg_cost = p.t_r() + p.t_h() + p.t_a();
     for (uint64_t page_id : page_ids) {
-      ADAPTAGG_RETURN_IF_ERROR(ctx.disk()->ReadPage(
-          part->file_id(), static_cast<int64_t>(page_id), page_bytes));
+      ADAPTAGG_ASSIGN_OR_RETURN(
+          const uint8_t* page,
+          ctx.disk()->ReadPage(part->file_id(),
+                               static_cast<int64_t>(page_id), scratch));
       ctx.SyncDiskIo();
-      PageReader reader(page_bytes.data(), ctx.disk()->page_size(),
-                        schema.tuple_size());
+      PageReader reader(page, ctx.disk()->page_size(), schema.tuple_size());
       // Examination cost is page-at-a-time: every sampled tuple is
       // read and hashed before the WHERE filter applies.
       const int take = static_cast<int>(std::min<int64_t>(

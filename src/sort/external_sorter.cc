@@ -145,9 +145,10 @@ Status SortedStream::LoadPage(RunCursor& cursor) {
     cursor.done = true;
     return Status::OK();
   }
-  ADAPTAGG_RETURN_IF_ERROR(sorter_->disk_->ReadPage(
-      cursor.file, cursor.next_page, cursor.page));
-  PageReader reader(cursor.page.data(), sorter_->disk_->page_size(),
+  ADAPTAGG_ASSIGN_OR_RETURN(
+      cursor.page,
+      sorter_->disk_->ReadPage(cursor.file, cursor.next_page, cursor.scratch));
+  PageReader reader(cursor.page, sorter_->disk_->page_size(),
                     sorter_->record_width_);
   cursor.records_in_page = reader.count();
   cursor.record = 0;
@@ -157,7 +158,7 @@ Status SortedStream::LoadPage(RunCursor& cursor) {
 }
 
 const uint8_t* SortedStream::CursorRecord(const RunCursor& cursor) const {
-  return cursor.page.data() + sizeof(uint32_t) +
+  return cursor.page + sizeof(uint32_t) +
          static_cast<size_t>(cursor.record) *
              static_cast<size_t>(sorter_->record_width_);
 }

@@ -74,6 +74,13 @@ class ExternalSorter {
 /// bounded by (runs + 1) pages.
 class SortedStream {
  public:
+  // Move-only: a cursor's page may point into its scratch buffer, which a
+  // move keeps but a copy would leave behind.
+  SortedStream(const SortedStream&) = delete;
+  SortedStream& operator=(const SortedStream&) = delete;
+  SortedStream(SortedStream&&) = default;
+  SortedStream& operator=(SortedStream&&) = default;
+
   /// Next record in key order, or nullptr at end (check status()).
   const uint8_t* Next();
 
@@ -89,7 +96,10 @@ class SortedStream {
     FileId file = 0;
     int64_t num_pages = 0;
     int64_t next_page = 0;
-    std::vector<uint8_t> page;
+    /// Read buffer for disks that do not keep pages in memory.
+    std::vector<uint8_t> scratch;
+    /// The current page, as Disk::ReadPage returned it.
+    const uint8_t* page = nullptr;
     int record = 0;
     int records_in_page = 0;
     bool done = false;

@@ -163,32 +163,33 @@ Result<CheckpointState> CheckpointStore::Load(int node) const {
   }
 
   std::vector<uint8_t> blob;
-  std::vector<uint8_t> page;
+  std::vector<uint8_t> scratch;
   for (int64_t i = 0; i < slot.latest_pages; ++i) {
-    Status st = slot.disk->ReadPage(slot.latest, i, page);
-    if (!st.ok()) {
+    Result<const uint8_t*> read = slot.disk->ReadPage(slot.latest, i, scratch);
+    if (!read.ok()) {
       return Status::DataLoss("checkpoint page " + std::to_string(i) +
                               " of node " + std::to_string(node) +
-                              " unreadable: " + st.message());
+                              " unreadable: " + read.status().message());
     }
-    const uint32_t stored = GetU32(page.data());
+    const uint8_t* page = *read;
+    const uint32_t stored = GetU32(page);
     const uint32_t actual =
-        Crc32c(0, page.data() + 4, static_cast<size_t>(page_size_) - 4);
+        Crc32c(0, page + 4, static_cast<size_t>(page_size_) - 4);
     if (stored != actual) {
       return Status::DataLoss(
           "checkpoint page " + std::to_string(i) + " of node " +
           std::to_string(node) +
           " failed CRC-32C (torn or corrupted write)");
     }
-    const uint32_t used = GetU32(page.data() + 4);
+    const uint32_t used = GetU32(page + 4);
     if (used > static_cast<size_t>(page_size_) - kPageHeaderBytes) {
       return Status::DataLoss("checkpoint page " + std::to_string(i) +
                               " of node " + std::to_string(node) +
                               " has impossible payload length " +
                               std::to_string(used));
     }
-    blob.insert(blob.end(), page.begin() + kPageHeaderBytes,
-                page.begin() + kPageHeaderBytes + used);
+    blob.insert(blob.end(), page + kPageHeaderBytes,
+                page + kPageHeaderBytes + used);
   }
 
   if (blob.size() < kManifestFixedBytes) {

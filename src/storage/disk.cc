@@ -55,8 +55,10 @@ Status SimDisk::AppendPage(FileId file, const std::vector<uint8_t>& page) {
   return Status::OK();
 }
 
-Status SimDisk::ReadPage(FileId file, int64_t index,
-                         std::vector<uint8_t>& out) {
+Result<const uint8_t*> SimDisk::ReadPage(FileId file, int64_t index,
+                                         std::vector<uint8_t>& scratch) {
+  (void)scratch;  // the view points at the stored page
+  const uint8_t* view;
   {
     MutexLock lock(&mu_);
     auto it = files_.find(file);
@@ -67,10 +69,10 @@ Status SimDisk::ReadPage(FileId file, int64_t index,
       return Status::OutOfRange("SimDisk: page " + std::to_string(index) +
                                 " of " + std::to_string(it->second.size()));
     }
-    out = it->second[static_cast<size_t>(index)];
+    view = it->second[static_cast<size_t>(index)].data();
   }
   CountRead(file, index);
-  return Status::OK();
+  return view;
 }
 
 Result<int64_t> SimDisk::NumPages(FileId file) const {
@@ -140,8 +142,8 @@ Status FileDisk::AppendPage(FileId file, const std::vector<uint8_t>& page) {
   return Status::OK();
 }
 
-Status FileDisk::ReadPage(FileId file, int64_t index,
-                          std::vector<uint8_t>& out) {
+Result<const uint8_t*> FileDisk::ReadPage(FileId file, int64_t index,
+                                          std::vector<uint8_t>& scratch) {
   {
     MutexLock lock(&mu_);
     auto it = files_.find(file);
@@ -151,15 +153,15 @@ Status FileDisk::ReadPage(FileId file, int64_t index,
     if (index < 0 || index >= it->second.num_pages) {
       return Status::OutOfRange("FileDisk: page " + std::to_string(index));
     }
-    out.resize(static_cast<size_t>(page_size()));
+    scratch.resize(static_cast<size_t>(page_size()));
     off_t off = static_cast<off_t>(index) * page_size();
-    ssize_t n = ::pread(it->second.fd, out.data(), out.size(), off);
-    if (n != static_cast<ssize_t>(out.size())) {
+    ssize_t n = ::pread(it->second.fd, scratch.data(), scratch.size(), off);
+    if (n != static_cast<ssize_t>(scratch.size())) {
       return Status::IOError("pread: " + std::string(std::strerror(errno)));
     }
   }
   CountRead(file, index);
-  return Status::OK();
+  return static_cast<const uint8_t*>(scratch.data());
 }
 
 Result<int64_t> FileDisk::NumPages(FileId file) const {

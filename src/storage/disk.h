@@ -64,9 +64,15 @@ class Disk {
   /// Appends one page (must be exactly page_size bytes).
   virtual Status AppendPage(FileId file, const std::vector<uint8_t>& page) = 0;
 
-  /// Reads page `index` into `out` (resized to page_size).
-  virtual Status ReadPage(FileId file, int64_t index,
-                          std::vector<uint8_t>& out) = 0;
+  /// Reads page `index` and returns a view of its page_size bytes. A disk
+  /// that keeps its pages in memory returns a view of its own copy
+  /// (SimDisk: valid until the file is deleted); one that does not reads
+  /// into `scratch` (resized to page_size) and returns scratch.data(),
+  /// valid until the next read into the same buffer. Callers therefore
+  /// keep `scratch` alive while they use the view, and never write
+  /// through it.
+  virtual Result<const uint8_t*> ReadPage(FileId file, int64_t index,
+                                          std::vector<uint8_t>& scratch) = 0;
 
   /// Number of pages currently in the file.
   virtual Result<int64_t> NumPages(FileId file) const = 0;
@@ -93,14 +99,20 @@ class Disk {
 /// In-memory disk: stores pages in RAM but counts I/O as if they hit a
 /// real spindle. This is the default substrate — it makes experiment runs
 /// deterministic and fast while preserving the paper's I/O cost structure.
+///
+/// ReadPage returns a view of the stored page itself, not a copy. Every
+/// page is its own heap buffer, written once by AppendPage and never
+/// again; growing a file moves the page handles, never the bytes. A view
+/// therefore stays valid, and its bytes unchanged, until DeleteFile of
+/// its file, whatever else is appended, created or deleted meanwhile.
 class SimDisk : public Disk {
  public:
   explicit SimDisk(int page_size);
 
   Result<FileId> CreateFile(const std::string& name) override;
   Status AppendPage(FileId file, const std::vector<uint8_t>& page) override;
-  Status ReadPage(FileId file, int64_t index,
-                  std::vector<uint8_t>& out) override;
+  Result<const uint8_t*> ReadPage(FileId file, int64_t index,
+                                  std::vector<uint8_t>& scratch) override;
   Result<int64_t> NumPages(FileId file) const override;
   Status DeleteFile(FileId file) override;
 
@@ -122,8 +134,8 @@ class FileDisk : public Disk {
 
   Result<FileId> CreateFile(const std::string& name) override;
   Status AppendPage(FileId file, const std::vector<uint8_t>& page) override;
-  Status ReadPage(FileId file, int64_t index,
-                  std::vector<uint8_t>& out) override;
+  Result<const uint8_t*> ReadPage(FileId file, int64_t index,
+                                  std::vector<uint8_t>& scratch) override;
   Result<int64_t> NumPages(FileId file) const override;
   Status DeleteFile(FileId file) override;
 

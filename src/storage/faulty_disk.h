@@ -22,13 +22,13 @@ class FaultySimDisk : public SimDisk {
   /// Fail all appends after `n` more successful appends (-1 disables).
   void FailWritesAfter(int64_t n) { writes_left_ = n; }
 
-  Status ReadPage(FileId file, int64_t index,
-                  std::vector<uint8_t>& out) override {
+  Result<const uint8_t*> ReadPage(FileId file, int64_t index,
+                                  std::vector<uint8_t>& scratch) override {
     if (reads_left_ == 0) {
       return Status::IOError("injected read fault");
     }
     if (reads_left_ > 0) --reads_left_;
-    return SimDisk::ReadPage(file, index, out);
+    return SimDisk::ReadPage(file, index, scratch);
   }
 
   Status AppendPage(FileId file, const std::vector<uint8_t>& page) override {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/simd.h"
 
 namespace adaptagg {
 
@@ -49,13 +50,20 @@ HeapFileScanner::HeapFileScanner(const HeapFile* file) : file_(file) {}
 
 bool HeapFileScanner::LoadPage(int64_t index) {
   if (!status_.ok() || index >= file_->num_pages()) return false;
-  Status st = file_->disk()->ReadPage(file_->file_id(), index, page_bytes_);
-  if (!st.ok()) {
-    status_ = st;
+  Result<const uint8_t*> page =
+      file_->disk()->ReadPage(file_->file_id(), index, scratch_);
+  if (!page.ok()) {
+    status_ = page.status();
     return false;
   }
-  PageReader reader(page_bytes_.data(), file_->disk()->page_size(),
-                    file_->schema().tuple_size());
+  page_ = *page;
+  // The scan is bound by memory speed: ask for the whole page now, so
+  // the lines arrive while the first records are being projected.
+  const int page_size = file_->disk()->page_size();
+  for (int off = 0; off < page_size; off += simd::kCacheLineBytes) {
+    simd::PrefetchRead(page_ + off);
+  }
+  PageReader reader(page_, page_size, file_->schema().tuple_size());
   records_in_page_ = reader.count();
   record_in_page_ = 0;
   next_page_ = index + 1;
@@ -67,7 +75,7 @@ TupleView HeapFileScanner::Next() {
   while (record_in_page_ >= records_in_page_) {
     if (!LoadPage(next_page_)) return TupleView();
   }
-  PageReader reader(page_bytes_.data(), file_->disk()->page_size(),
+  PageReader reader(page_, file_->disk()->page_size(),
                     file_->schema().tuple_size());
   const uint8_t* rec = reader.record(record_in_page_++);
   return TupleView(rec, &file_->schema());
@@ -78,7 +86,7 @@ int HeapFileScanner::NextRun(const uint8_t** out, int max) {
   while (record_in_page_ >= records_in_page_) {
     if (!LoadPage(next_page_)) return 0;
   }
-  PageReader reader(page_bytes_.data(), file_->disk()->page_size(),
+  PageReader reader(page_, file_->disk()->page_size(),
                     file_->schema().tuple_size());
   int take = std::min(max, records_in_page_ - record_in_page_);
   for (int i = 0; i < take; ++i) {

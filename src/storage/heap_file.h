@@ -63,20 +63,31 @@ class HeapFile {
 };
 
 /// Sequentially scans a HeapFile page by page, yielding tuple views.
-/// Reading a page performs (and counts) one disk read.
+/// Reading a page performs (and counts) one disk read, reads the page in
+/// place through Disk::ReadPage's view, and prefetches the page's cache
+/// lines, so the first records are not waiting on DRAM.
 class HeapFileScanner {
  public:
   explicit HeapFileScanner(const HeapFile* file);
+  // Move-only: page_ may point into scratch_, whose buffer a move keeps
+  // but a copy would leave behind.
+  HeapFileScanner(const HeapFileScanner&) = delete;
+  HeapFileScanner& operator=(const HeapFileScanner&) = delete;
+  HeapFileScanner(HeapFileScanner&&) = default;
+  HeapFileScanner& operator=(HeapFileScanner&&) = default;
 
   /// Advances to the next tuple; returns an invalid view at end of file
   /// or on a disk error — distinguish by checking status().
   TupleView Next();
 
-  /// Fills `out` with up to `max` record pointers from the current page
+  /// Fills `out` with up to `max` record pointers into the current page
   /// (loading the next page first when it is exhausted, so one call
   /// never spans pages and performs at most one disk read). Returns the
-  /// count; 0 at end of file or on error. Pointers stay valid until the
-  /// next NextRun/Next/SeekToPage call.
+  /// count; 0 at end of file or on error. The pointers are a view of the
+  /// page as Disk::ReadPage returned it: on a SimDisk they stay valid
+  /// until the file is deleted; on a FileDisk only until the scanner
+  /// loads another page (the next NextRun/Next that crosses a page
+  /// boundary, or SeekToPage). Callers must assume the shorter lifetime.
   int NextRun(const uint8_t** out, int max);
 
   /// OK unless a page read failed; once non-OK the scanner stays ended.
@@ -92,7 +103,10 @@ class HeapFileScanner {
   bool LoadPage(int64_t index);
 
   const HeapFile* file_;
-  std::vector<uint8_t> page_bytes_;
+  /// Read buffer for disks that do not keep pages in memory.
+  std::vector<uint8_t> scratch_;
+  /// The current page, as ReadPage returned it.
+  const uint8_t* page_ = nullptr;
   Status status_;
   int64_t next_page_ = 0;
   int record_in_page_ = 0;

@@ -35,11 +35,12 @@ class ScopedDisk : public Disk {
     return Status::OK();
   }
 
-  Status ReadPage(FileId file, int64_t index,
-                  std::vector<uint8_t>& out) override {
-    ADAPTAGG_RETURN_IF_ERROR(base_->ReadPage(file, index, out));
+  Result<const uint8_t*> ReadPage(FileId file, int64_t index,
+                                  std::vector<uint8_t>& scratch) override {
+    ADAPTAGG_ASSIGN_OR_RETURN(const uint8_t* view,
+                              base_->ReadPage(file, index, scratch));
     CountRead(file, index);
-    return Status::OK();
+    return view;
   }
 
   Result<int64_t> NumPages(FileId file) const override {

@@ -82,19 +82,21 @@ SpillReader::SpillReader(const SpillWriter* writer) : writer_(writer) {}
 
 bool SpillReader::LoadPage(int64_t index) {
   if (!status_.ok() || index >= writer_->num_pages()) return false;
-  Status st =
-      writer_->disk()->ReadPage(writer_->file_id(), index, page_bytes_);
-  if (!st.ok()) {
-    status_ = st;
+  Result<const uint8_t*> page =
+      writer_->disk()->ReadPage(writer_->file_id(), index, scratch_);
+  if (!page.ok()) {
+    status_ = page.status();
     return false;
   }
+  page_ = *page;
   uint32_t frames;
-  std::memcpy(&frames, page_bytes_.data(), sizeof(frames));
+  std::memcpy(&frames, page_, sizeof(frames));
   if (frames & kCrcSignedFlag) {
-    const size_t page_size = page_bytes_.size();
+    // Verified on the stored page itself: the view is what gets decoded.
+    const size_t page_size = static_cast<size_t>(writer_->disk()->page_size());
     uint32_t stored;
-    std::memcpy(&stored, page_bytes_.data() + page_size - 4, 4);
-    const uint32_t actual = Crc32c(0, page_bytes_.data(), page_size - 4);
+    std::memcpy(&stored, page_ + page_size - 4, 4);
+    const uint32_t actual = Crc32c(0, page_, page_size - 4);
     if (stored != actual) {
       status_ = Status::DataLoss(
           "spill page " + std::to_string(index) +
@@ -119,8 +121,8 @@ bool SpillReader::NextRun(int max_frames, SpillRun* run) {
   }
   // Every frame must lie inside the page, which an unsigned (exactly
   // full) page with a damaged header or tag byte could otherwise break.
-  const uint8_t* page = page_bytes_.data();
-  const size_t page_size = page_bytes_.size();
+  const uint8_t* page = page_;
+  const size_t page_size = static_cast<size_t>(writer_->disk()->page_size());
   auto malformed = [&]() {
     status_ = Status::DataLoss("spill page " + std::to_string(next_page_ - 1) +
                                " frame " + std::to_string(frame_in_page_) +

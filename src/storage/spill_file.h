@@ -86,6 +86,12 @@ struct SpillRun {
 class SpillReader {
  public:
   explicit SpillReader(const SpillWriter* writer);
+  // Move-only: page_ may point into scratch_, whose buffer a move keeps
+  // but a copy would leave behind.
+  SpillReader(const SpillReader&) = delete;
+  SpillReader& operator=(const SpillReader&) = delete;
+  SpillReader(SpillReader&&) = default;
+  SpillReader& operator=(SpillReader&&) = default;
 
   /// Returns the next run of at most `max_frames` (>= 1) same-tag frames,
   /// all from one page and in file order, or false at end of file or on
@@ -102,7 +108,10 @@ class SpillReader {
   bool LoadPage(int64_t index);
 
   const SpillWriter* writer_;
-  std::vector<uint8_t> page_bytes_;
+  /// Read buffer for disks that do not keep pages in memory.
+  std::vector<uint8_t> scratch_;
+  /// The current page, as Disk::ReadPage returned it.
+  const uint8_t* page_ = nullptr;
   Status status_;
   int64_t next_page_ = 0;
   uint32_t frames_in_page_ = 0;

@@ -139,6 +139,71 @@ TEST(ClusterService, ConcurrentQueriesMatchSequentialRuns) {
   EXPECT_EQ(service->resident_threads(), 0);
 }
 
+// Page reads are views of the shared node disks' own pages: four
+// sessions scan one partition per node through their ScopedDisks while
+// a fifth keeps creating, filling, reading and deleting spill files on
+// the same base disks. A view must keep its bytes whatever the spiller
+// does to the disk's file table, so every row matches the oracle; under
+// TSan a missing ordering edge between an append and a later in-place
+// read shows up as a report (CI repeats this test there).
+TEST(ClusterService, ConcurrentScansBesideSpillingSession) {
+  ASSERT_OK_AND_ASSIGN(PartitionedRelation rel, MakeServedRelation());
+  ServiceConfig config;
+  // 1,000 groups fit the scans' tables; the spiller's do not.
+  config.params = SmallClusterParams(4, 20'000, /*max_hash_entries=*/2'000);
+  config.cache_entries = 0;  // every query executes
+  config.scheduler.max_inflight = 5;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ClusterService> service,
+                       ClusterService::Start(config, &rel));
+  ASSERT_OK_AND_ASSIGN(AggregationSpec scan_spec,
+                       MakeBenchQuery(&rel.schema()));
+  // GROUP BY the measure column: thousands of groups per node.
+  ASSERT_OK_AND_ASSIGN(
+      AggregationSpec spill_spec,
+      MakeCountSumSpec(&rel.schema(), kBenchValueCol, kBenchGroupCol));
+  ASSERT_OK_AND_ASSIGN(ResultSet scan_expected,
+                       ReferenceAggregate(scan_spec, rel));
+  ASSERT_OK_AND_ASSIGN(ResultSet spill_expected,
+                       ReferenceAggregate(spill_spec, rel));
+
+  constexpr int kScanners = 4;
+  constexpr int kRounds = 3;
+  // Per client and round: 1 = rows equal the oracle (and, for the
+  // spiller, records really spilled), 0 = not, -1 = never finished.
+  std::vector<std::vector<int>> ok(kScanners + 1,
+                                   std::vector<int>(kRounds, -1));
+  std::vector<std::thread> clients;
+  for (int c = 0; c <= kScanners; ++c) {
+    clients.emplace_back([&, c] {
+      const bool spiller = c == kScanners;
+      for (int r = 0; r < kRounds; ++r) {
+        ServeQuery query;
+        query.spec = spiller ? spill_spec : scan_spec;
+        query.algorithm = spiller ? AlgorithmKind::kRepartitioning
+                                  : AlgorithmKind::kTwoPhase;
+        auto ticket = service->Submit(std::move(query));
+        if (!ticket.ok()) return;
+        const RunResult& run = (*ticket)->Wait();
+        const bool right =
+            run.status.ok() &&
+            ResultSetsEqual(run.results,
+                            spiller ? spill_expected : scan_expected) &&
+            (!spiller || run.total_spilled_records() > 0);
+        ok[static_cast<size_t>(c)][static_cast<size_t>(r)] = right ? 1 : 0;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (int c = 0; c <= kScanners; ++c) {
+    for (int r = 0; r < kRounds; ++r) {
+      EXPECT_EQ(ok[static_cast<size_t>(c)][static_cast<size_t>(r)], 1)
+          << (c == kScanners ? "spiller" : "scanner ") << c << " round "
+          << r;
+    }
+  }
+  service->Shutdown();
+}
+
 /// Files live on `disk` and their total bytes, found by probing every id
 /// below a fresh marker file (which is deleted again).
 std::pair<int64_t, int64_t> DiskUsage(Disk& disk) {

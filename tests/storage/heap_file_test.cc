@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "storage/faulty_disk.h"
+
 namespace adaptagg {
 namespace {
 
@@ -89,6 +91,26 @@ TEST_F(HeapFileTest, ScannerCountsPages) {
   while (scanner.Next().valid()) {
   }
   EXPECT_EQ(scanner.pages_read(), hf.num_pages());
+}
+
+TEST_F(HeapFileTest, InjectedReadFaultEndsTheScan) {
+  FaultySimDisk disk(512);
+  auto made = HeapFile::Create(&disk, &schema_, "t");
+  ASSERT_TRUE(made.ok());
+  HeapFile hf = std::move(made).value();
+  Fill(hf, 100);  // four pages of 31 tuples
+  ASSERT_EQ(hf.num_pages(), 4);
+  disk.FailReadsAfter(2);
+
+  HeapFileScanner scanner(&hf);
+  const uint8_t* ptrs[64];
+  int64_t rows = 0;
+  while (int n = scanner.NextRun(ptrs, 64)) rows += n;
+  EXPECT_EQ(rows, 2 * 31);
+  EXPECT_EQ(scanner.pages_read(), 2);
+  EXPECT_EQ(scanner.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(scanner.status().message(), "injected read fault");
+  EXPECT_EQ(scanner.NextRun(ptrs, 64), 0);  // the error is sticky
 }
 
 TEST_F(HeapFileTest, DropDeletesBackingFile) {

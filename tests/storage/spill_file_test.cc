@@ -153,17 +153,42 @@ TEST_F(SpillFileTest, CorruptedPageIsDataLoss) {
   EXPECT_FALSE(reader.NextRun(128, &run));  // the error is sticky
 }
 
+TEST_F(SpillFileTest, InjectedReadFaultIsTheReadersStatus) {
+  FaultySimDisk disk(256);
+  auto made = SpillWriter::Create(&disk, "spill", 8, 8);
+  ASSERT_TRUE(made.ok());
+  SpillWriter w = std::move(made).value();
+  for (int64_t v = 0; v < 3 * 28; ++v) {  // three full pages of 28
+    ASSERT_TRUE(w.Append(SpillTag::kRaw, reinterpret_cast<uint8_t*>(&v)).ok());
+  }
+  ASSERT_TRUE(w.Flush().ok());
+  ASSERT_EQ(w.num_pages(), 3);
+  disk.FailReadsAfter(1);
+
+  SpillReader reader(&w);
+  SpillRun run;
+  int64_t frames = 0;
+  while (reader.NextRun(128, &run)) frames += run.count;
+  EXPECT_EQ(frames, 28);
+  EXPECT_EQ(reader.pages_read(), 1);
+  EXPECT_EQ(reader.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(reader.status().message(), "injected read fault");
+}
+
 /// A SimDisk whose reads return every page with its frame-count word
 /// overwritten: an unsigned header claiming far more frames than fit.
 class HeaderCorruptingDisk : public SimDisk {
  public:
   using SimDisk::SimDisk;
-  Status ReadPage(FileId file, int64_t index,
-                  std::vector<uint8_t>& out) override {
-    ADAPTAGG_RETURN_IF_ERROR(SimDisk::ReadPage(file, index, out));
+  Result<const uint8_t*> ReadPage(FileId file, int64_t index,
+                                  std::vector<uint8_t>& scratch) override {
+    ADAPTAGG_ASSIGN_OR_RETURN(const uint8_t* page,
+                              SimDisk::ReadPage(file, index, scratch));
+    // The stored page stays intact; the damaged copy is what is read.
+    scratch.assign(page, page + page_size());
     const uint32_t frames = 0xFFFF;
-    std::memcpy(out.data(), &frames, sizeof(frames));
-    return Status::OK();
+    std::memcpy(scratch.data(), &frames, sizeof(frames));
+    return static_cast<const uint8_t*>(scratch.data());
   }
 };
 
