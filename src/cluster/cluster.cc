@@ -38,7 +38,6 @@ RunResult Cluster::Run(const Algorithm& algo, const AggregationSpec& spec,
     storage.push_back({&rel.partition(i), &rel.disk(i)});
   }
   const uint32_t query_id = options.query_id;
-  const uint32_t epoch = options.epoch;
   QueryExecution exec(params_, spec, std::move(options), algo);
   do {
     Result<std::vector<std::unique_ptr<Transport>>> transports =
@@ -48,7 +47,7 @@ RunResult Cluster::Run(const Algorithm& algo, const AggregationSpec& spec,
       return result;
     }
     rel.ResetDiskStats();
-    exec.BeginAttempt(std::move(*transports), storage, query_id, epoch);
+    exec.BeginAttempt(std::move(*transports), storage, query_id);
     std::vector<std::thread> threads;
     threads.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {

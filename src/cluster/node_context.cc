@@ -95,7 +95,6 @@ Status NodeContext::Send(int to, Message msg) {
   if (to >= 0 && to < num_nodes()) {
     msg.seq = ++send_seq_[static_cast<size_t>(to)];
   }
-  msg.epoch = options_.epoch;
   net_->OnSend(clock_, msg);
   ++stats_.messages_sent;
   const int64_t bytes = static_cast<int64_t>(msg.payload.size());
@@ -125,8 +124,7 @@ Result<bool> NodeContext::AdmitIncoming(const Message& msg) {
   const int from = msg.from;
   if (msg.type == MessageType::kPeerClosed) {
     // The peer's endpoint closed, so its process is gone: fail now
-    // rather than wait out the idle deadline. Checked before the epoch
-    // test because the notice is local and carries no epoch.
+    // rather than wait out the idle deadline.
     obs_->fault_peer_closed.Increment();
     obs_->RecordFault("fault.peer_closed", {{"peer", from}});
     return Status::NetworkError(
@@ -138,13 +136,6 @@ Result<bool> NodeContext::AdmitIncoming(const Message& msg) {
     return true;  // unattributed traffic (raw transport users in tests)
   }
   last_heard_[static_cast<size_t>(from)] = WallSeconds();
-  if (msg.epoch != options_.epoch) {
-    // A frame from another membership epoch is a stale leftover of a
-    // pre-resize mesh: drop it before any sequence bookkeeping so the
-    // old membership's traffic can never corrupt the new one's state.
-    obs_->recovery_stale_epoch_dropped.Increment();
-    return false;
-  }
   if (msg.seq == 0) {
     // Unsequenced: sent around NodeContext (raw transport users).
     return msg.type != MessageType::kHeartbeat;
@@ -290,7 +281,6 @@ void NodeContext::MaybeHeartbeat() {
     Message hb;
     hb.type = MessageType::kHeartbeat;
     hb.seq = ++send_seq_[static_cast<size_t>(p)];
-    hb.epoch = options_.epoch;
     // Best-effort: a failed beacon just means the peer's detector fires.
     (void)transport_->Send(p, std::move(hb));
     obs_->fault_heartbeats_sent.Increment();

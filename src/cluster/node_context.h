@@ -102,12 +102,6 @@ struct AlgorithmOptions {
   /// distinguishable, and flows into RunResult::query_id.
   uint32_t query_id = 0;
 
-  /// Cluster-membership epoch this run executes under (0: one-shot runs
-  /// and the service's initial membership). Stamped into every outbound
-  /// frame; inbound frames from another epoch are stale leftovers of a
-  /// pre-resize membership and are dropped on admission.
-  uint32_t epoch = 0;
-
   /// Fault-recovery configuration (checkpointing + survivor replay).
   RecoveryOptions recovery;
 };

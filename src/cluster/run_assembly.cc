@@ -119,12 +119,10 @@ QueryExecution::QueryExecution(const SystemParams& params,
 
 void QueryExecution::BeginAttempt(
     std::vector<std::unique_ptr<Transport>> transports,
-    const std::vector<NodeStorage>& storage, uint32_t wire_query_id,
-    uint32_t epoch) {
+    const std::vector<NodeStorage>& storage, uint32_t wire_query_id) {
   ++attempt_;
   const int n = params_.num_nodes;
   options_.query_id = wire_query_id;
-  options_.epoch = epoch;
 
   // Fault injection wraps each endpoint in a decorator only when the
   // plan is non-empty: fault-free runs keep the raw transports and the

@@ -32,7 +32,7 @@ Status ValidateRunOptions(const AggregationSpec& spec,
 ///
 ///   QueryExecution exec(params, spec, options, algo);
 ///   do {
-///     exec.BeginAttempt(transports, storage, wire_query_id, epoch);
+///     exec.BeginAttempt(transports, storage, wire_query_id);
 ///     RunNode(i) on N threads;       // the last one returns true
 ///   } while (exec.PrepareReplay());  // an injected crash earns a replay
 ///   RunResult result = exec.Finish();
@@ -66,10 +66,10 @@ class QueryExecution {
   /// Starts an attempt over one endpoint and one NodeStorage per node:
   /// wraps each endpoint in a FaultyTransport when the fault plan is
   /// non-empty, and builds the network model and node contexts. Every
-  /// frame of the attempt carries `wire_query_id` and `epoch`.
+  /// frame of the attempt carries `wire_query_id`.
   void BeginAttempt(std::vector<std::unique_ptr<Transport>> transports,
                     const std::vector<NodeStorage>& storage,
-                    uint32_t wire_query_id, uint32_t epoch);
+                    uint32_t wire_query_id);
 
   /// Runs node `i` of the current attempt on the calling thread; a
   /// failing node broadcasts an abort to its peers. Returns true for the

@@ -56,8 +56,6 @@ std::vector<uint8_t> Message::Serialize() const {
   off += 4;
   std::memcpy(out.data() + off, &query_id, 4);
   off += 4;
-  std::memcpy(out.data() + off, &epoch, 4);
-  off += 4;
   std::memcpy(out.data() + off, &page_seq, 8);
   off += 8;
   if (!payload.empty()) {
@@ -103,8 +101,6 @@ Result<Message> Message::Deserialize(const uint8_t* data, size_t len) {
   std::memcpy(&m.charged_bytes, data + off, 4);
   off += 4;
   std::memcpy(&m.query_id, data + off, 4);
-  off += 4;
-  std::memcpy(&m.epoch, data + off, 4);
   off += 4;
   std::memcpy(&m.page_seq, data + off, 8);
   off += 8;

@@ -47,8 +47,8 @@ std::string MessageTypeToString(MessageType type);
 inline constexpr uint32_t kMaxFrameBytes = 64u * 1024 * 1024;
 
 /// Fixed bytes of one frame after the length word: crc32c + type + from +
-/// phase + depart + seq + charged_bytes + query_id + epoch + page_seq.
-inline constexpr size_t kHeaderBytes = 4 + 1 + 4 + 4 + 8 + 8 + 4 + 4 + 4 + 8;
+/// phase + depart + seq + charged_bytes + query_id + page_seq.
+inline constexpr size_t kHeaderBytes = 4 + 1 + 4 + 4 + 8 + 8 + 4 + 4 + 8;
 
 /// One network message. `depart_time` carries the sender's simulated
 /// clock so receivers preserve causality (a conservative discrete-event
@@ -71,14 +71,10 @@ struct Message {
   /// Serving-layer session tag: which query's exchange instance this frame
   /// belongs to. 0 means "no session" (the one-shot Cluster::Run path).
   /// The session router demultiplexes a shared physical mesh on this id,
-  /// so concurrent repartitions never cross-talk.
+  /// so concurrent repartitions never cross-talk, and a replay runs under
+  /// a fresh id, so a crashed attempt's late frames are dropped as late
+  /// instead of reaching the retry.
   uint32_t query_id = 0;
-  /// Cluster-membership epoch the sender belonged to when it sent this
-  /// frame, stamped by NodeContext::Send. After an elastic resize the
-  /// service bumps the epoch, so frames still in flight from the old
-  /// membership are recognizably stale and dropped on receive. 0 is the
-  /// initial epoch (one-shot runs never change it).
-  uint32_t epoch = 0;
   /// Deterministic per-(origin, destination) DATA page counter, stamped
   /// by Exchange::SendPage on kRawPage/kPartialPage frames only (1, 2,
   /// ...; 0 on every other frame = "not a data page"). Unlike `seq` —
@@ -91,9 +87,9 @@ struct Message {
 
   /// Wire encoding for socket transports:
   /// [u32 total_len][u32 crc32c][u8 type][i32 from][u32 phase]
-  /// [f64 depart][u64 seq][u32 charged_bytes][u32 query_id][u32 epoch]
-  /// [u64 page_seq][payload], where the CRC-32C covers everything after
-  /// the crc word itself. total_len counts from the crc word on.
+  /// [f64 depart][u64 seq][u32 charged_bytes][u32 query_id][u64 page_seq]
+  /// [payload], where the CRC-32C covers everything after the crc word
+  /// itself. total_len counts from the crc word on.
   std::vector<uint8_t> Serialize() const;
 
   /// Parses a frame produced by Serialize() (without the leading length

@@ -93,8 +93,6 @@ NodeObs::NodeObs(int node_id, const ObsConfig& config,
   recovery_checkpoint_data_loss =
       registry_.counter("recovery.checkpoint_data_loss");
   recovery_pages_deduped = registry_.counter("recovery.pages_deduped");
-  recovery_stale_epoch_dropped =
-      registry_.counter("recovery.stale_epoch_dropped");
   recovery_attempts = registry_.counter("recovery.attempts");
   recovery_nodes_restored = registry_.counter("recovery.nodes_restored");
   recovery_attempt_wall_us =

@@ -128,7 +128,7 @@ class NodeObs {
   /// noticing and unwinding (abort fan-out + detection latency).
   Histogram fault_abort_latency_us;
 
-  // Fault recovery: checkpointed partials, replay dedupe, elasticity.
+  // Fault recovery: checkpointed partials and replay dedupe.
   /// Checkpoints this node durably wrote.
   Counter recovery_checkpoints_written;
   /// Payload bytes of the checkpoints this node durably wrote.
@@ -144,8 +144,6 @@ class NodeObs {
   /// Replayed data pages skipped by the fold watermark, keeping merges
   /// exactly-once across re-execution.
   Counter recovery_pages_deduped;
-  /// Inbound frames dropped for carrying a stale membership epoch.
-  Counter recovery_stale_epoch_dropped;
   /// Re-execution attempts the run needed beyond the first (bumped on
   /// the coordinator's shard by the recovery loop).
   Counter recovery_attempts;

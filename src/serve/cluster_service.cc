@@ -122,26 +122,20 @@ Result<std::unique_ptr<ClusterService>> ClusterService::Start(
   if (config.scheduler.max_inflight < 1) {
     return Status::InvalidArgument("scheduler.max_inflight must be >= 1");
   }
-  Cluster::TransportFactory factory = config.transport_factory;
-  if (!factory) {
-    factory = [](int n) -> Result<std::vector<std::unique_ptr<Transport>>> {
-      return MakeInprocMesh(n);
-    };
-  }
+  const int n = config.params.num_nodes;
   Result<std::vector<std::unique_ptr<Transport>>> mesh =
-      factory(config.params.num_nodes);
+      config.transport_factory ? config.transport_factory(n)
+                               : MakeInprocMesh(n);
   if (!mesh.ok()) return mesh.status();
-  return std::unique_ptr<ClusterService>(new ClusterService(
-      std::move(config), rel, std::move(factory), std::move(*mesh)));
+  return std::unique_ptr<ClusterService>(
+      new ClusterService(std::move(config), rel, std::move(*mesh)));
 }
 
 ClusterService::ClusterService(ServiceConfig config, PartitionedRelation* rel,
-                               Cluster::TransportFactory mesh_factory,
                                std::vector<std::unique_ptr<Transport>> mesh)
     : config_(std::move(config)),
       rel_(rel),
-      mesh_factory_(std::move(mesh_factory)),
-      router_(std::make_unique<SessionRouter>(std::move(mesh))),
+      router_(std::move(mesh)),
       cache_(config_.cache_entries),
       scheduler_(config_.scheduler) {
   admitted_ = metrics_.counter("serve.admitted");
@@ -152,7 +146,6 @@ ClusterService::ClusterService(ServiceConfig config, PartitionedRelation* rel,
   completed_ = metrics_.counter("serve.completed");
   aborted_ = metrics_.counter("serve.aborted");
   replays_ = metrics_.counter("serve.recovery.replays");
-  resizes_ = metrics_.counter("serve.resizes");
   inflight_high_water_ = metrics_.gauge("serve.inflight_high_water");
   queue_depth_high_water_ = metrics_.gauge("serve.queue_depth_high_water");
   late_frames_dropped_ = metrics_.gauge("serve.late_frames_dropped");
@@ -210,15 +203,6 @@ Result<QueryTicketPtr> ClusterService::Submit(ServeQuery query) {
   ticket->submit_wall_s_ = WallSeconds();
   session->ticket = ticket;
 
-  // Snapshot the system parameters under the lock: Resize rewrites
-  // config_.params.num_nodes while the plane is swapped, and this path
-  // reads params before deciding whether to park.
-  SystemParams params_now;
-  {
-    MutexLock lock(&mu_);
-    params_now = config_.params;
-  }
-
   // Cache: only gathered, fault-free queries are answerable from (and
   // into) the cache — a fault plan changes the outcome, and without
   // gathered rows there is nothing to serve.
@@ -235,7 +219,7 @@ Result<QueryTicketPtr> ClusterService::Submit(ServeQuery query) {
       cache_hits_.Increment();
       RunResult result;
       result.query_id = session->query_id;
-      result.num_nodes = params_now.num_nodes;
+      result.num_nodes = config_.params.num_nodes;
       result.from_cache = true;
       result.results = std::move(hit->results);
       const double wall = WallSeconds();
@@ -248,28 +232,11 @@ Result<QueryTicketPtr> ClusterService::Submit(ServeQuery query) {
   }
 
   session->est_bytes = EstimateQueryMemoryBytes(
-      session->q.spec, session->q.options, params_now);
+      session->q.spec, session->q.options, config_.params);
 
   MutexLock lock(&mu_);
   if (!accepting_) {
     return Status::FailedPrecondition("ClusterService is shut down");
-  }
-  // Mid-resize the data plane is being swapped: park the submission in
-  // the pending queue (still bounded) and let the post-resize pump
-  // admit it against the new node count.
-  if (resizing_) {
-    if (static_cast<int>(pending_.size()) >=
-        config_.scheduler.queue_capacity) {
-      rejected_queue_full_.Increment();
-      return Status::ResourceExhausted(
-          "submission queue full during resize (" +
-          std::to_string(pending_.size()) + " queued)");
-    }
-    pending_.push_back(std::move(session));
-    pending_high_water_ = std::max(pending_high_water_, pending_.size());
-    queue_depth_high_water_.UpdateMax(
-        static_cast<int64_t>(pending_high_water_));
-    return ticket;
   }
   const Scheduler::Decision decision = scheduler_.Offer(
       session->est_bytes, static_cast<int>(pending_.size()));
@@ -316,7 +283,7 @@ void ClusterService::Activate(Session* s) {
 
 void ClusterService::StartAttempt(Session* s) {
   Result<std::vector<std::unique_ptr<Transport>>> endpoints =
-      router_->OpenSession(s->wire_query_id);
+      router_.OpenSession(s->wire_query_id);
   if (!endpoints.ok()) {
     scheduler_.Release(s->est_bytes);
     RunResult result;
@@ -340,11 +307,7 @@ void ClusterService::StartAttempt(Session* s) {
         HeapFile::View(s->disks.back().get(), rel_->partition(i))));
     storage.push_back({s->partitions.back().get(), s->disks.back().get()});
   }
-  // Sessions execute at the current membership epoch; frames a retired
-  // pre-resize plane might have left behind carry an older epoch and
-  // are dropped on admission.
-  s->exec->BeginAttempt(std::move(*endpoints), storage, s->wire_query_id,
-                        membership_epoch_);
+  s->exec->BeginAttempt(std::move(*endpoints), storage, s->wire_query_id);
   for (int i = 0; i < n; ++i) {
     task_queues_[static_cast<size_t>(i)]->Push({s, i});
   }
@@ -361,7 +324,7 @@ void ClusterService::WorkerLoop(int node) {
 }
 
 void ClusterService::FinishSession(Session* s) {
-  router_->CloseSession(s->wire_query_id);
+  router_.CloseSession(s->wire_query_id);
   // Survivor re-execution: an injected-crash failure earns a replay,
   // restoring each node from its latest checkpoint. It runs under a
   // fresh wire-level query id: the crashed attempt's in-flight frames
@@ -411,7 +374,7 @@ void ClusterService::FinishSession(Session* s) {
 }
 
 void ClusterService::PumpPending() {
-  while (!resizing_ && !pending_.empty() &&
+  while (!pending_.empty() &&
          scheduler_.CanStart(pending_.front()->est_bytes)) {
     std::unique_ptr<Session> next = std::move(pending_.front());
     pending_.pop_front();
@@ -420,91 +383,6 @@ void ClusterService::PumpPending() {
     active_.emplace(raw->query_id, std::move(next));
     Activate(raw);
   }
-}
-
-Status ClusterService::Resize(int new_num_nodes) {
-  if (new_num_nodes <= 0) {
-    return Status::InvalidArgument("num_nodes must be positive");
-  }
-  {
-    MutexLock lock(&mu_);
-    if (!accepting_) {
-      return Status::FailedPrecondition("ClusterService is shut down");
-    }
-    if (resizing_) {
-      return Status::FailedPrecondition("a resize is already in progress");
-    }
-    if (new_num_nodes == config_.params.num_nodes) return Status::OK();
-    // Quiesce: the flag parks new submissions in pending_ and stalls the
-    // completion pump; in-flight sessions drain normally.
-    resizing_ = true;
-    while (!active_.empty()) drained_cv_.Wait(mu_);
-  }
-
-  // Build the replacement mesh before touching the old plane, so a
-  // factory failure (e.g. a TCP bind conflict) leaves the service
-  // serving at the old size.
-  Result<std::vector<std::unique_ptr<Transport>>> mesh =
-      mesh_factory_(new_num_nodes);
-  if (!mesh.ok()) {
-    MutexLock lock(&mu_);
-    resizing_ = false;
-    PumpPending();
-    return mesh.status();
-  }
-
-  // Retire the old data plane: no sessions are in flight, so closing
-  // the queues and joining the workers cannot strand work.
-  for (auto& queue : task_queues_) queue->Close();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
-  workers_.clear();
-  task_queues_.clear();
-  router_->Stop();
-
-  // Redistribute the relation's tuples across the new node count. On
-  // failure the relation may be mid-move and the old plane is gone:
-  // fail hard rather than serve wrong shards.
-  Status rebalanced = rel_->Rebalance(new_num_nodes);
-  if (!rebalanced.ok()) {
-    MutexLock lock(&mu_);
-    accepting_ = false;
-    joined_ = true;  // the workers above are already joined
-    resizing_ = false;
-    return rebalanced;
-  }
-  // The relation version bump above already fences the result cache;
-  // dropping the entries too keeps its footprint honest.
-  cache_.InvalidateAll();
-
-  router_ = std::make_unique<SessionRouter>(std::move(*mesh));
-  const int pool = config_.scheduler.max_inflight;
-  task_queues_.reserve(static_cast<size_t>(new_num_nodes));
-  for (int i = 0; i < new_num_nodes; ++i) {
-    task_queues_.push_back(std::make_unique<NodeTaskQueue>());
-  }
-  workers_.reserve(static_cast<size_t>(new_num_nodes * pool));
-  alive_workers_.store(new_num_nodes * pool, std::memory_order_release);
-  for (int i = 0; i < new_num_nodes; ++i) {
-    for (int w = 0; w < pool; ++w) {
-      workers_.emplace_back([this, i] { WorkerLoop(i); });
-    }
-  }
-
-  MutexLock lock(&mu_);
-  config_.params.num_nodes = new_num_nodes;
-  ++membership_epoch_;
-  resizes_.Increment();
-  resizing_ = false;
-  // Admit whatever parked while the plane was down, now at the new size.
-  PumpPending();
-  return Status::OK();
-}
-
-uint32_t ClusterService::membership_epoch() const {
-  MutexLock lock(&mu_);
-  return membership_epoch_;
 }
 
 void ClusterService::Shutdown() {
@@ -535,7 +413,7 @@ void ClusterService::Shutdown() {
     for (std::thread& t : workers_) {
       if (t.joinable()) t.join();
     }
-    router_->Stop();
+    router_.Stop();
   }
 }
 
@@ -543,15 +421,15 @@ MetricsSnapshot ClusterService::Metrics() const {
   // Router counters are scraped into gauges at snapshot time (handles
   // are value types, so the const copies below update the same cells).
   Gauge late = late_frames_dropped_;
-  late.Set(static_cast<int64_t>(router_->late_frames_dropped()));
+  late.Set(static_cast<int64_t>(router_.late_frames_dropped()));
   Gauge shared = heartbeats_shared_;
-  shared.Set(static_cast<int64_t>(router_->heartbeats_shared()));
+  shared.Set(static_cast<int64_t>(router_.heartbeats_shared()));
   return metrics_.Snapshot();
 }
 
 int ClusterService::resident_threads() const {
   return alive_workers_.load(std::memory_order_acquire) +
-         router_->alive_demux_threads();
+         router_.alive_demux_threads();
 }
 
 }  // namespace adaptagg

@@ -79,8 +79,9 @@ struct ServiceConfig {
   SchedulerConfig scheduler;
   /// Result-cache capacity in entries; 0 disables caching.
   size_t cache_entries = 64;
-  /// Physical mesh factory (empty: in-process mesh). The mesh is built
-  /// once and shared by every session through the SessionRouter.
+  /// Physical mesh factory (empty: in-process mesh). Start builds the
+  /// mesh once, at the configured node count, and every session shares
+  /// it through the SessionRouter for the service's lifetime.
   Cluster::TransportFactory transport_factory;
 };
 
@@ -118,22 +119,6 @@ class ClusterService {
   /// destructor.
   void Shutdown();
 
-  /// Elastic node join/leave: resizes the resident cluster to
-  /// `new_num_nodes` between queries. Quiesces (in-flight sessions
-  /// drain; new submissions park in the pending queue), builds the new
-  /// mesh first (a factory failure leaves the old plane serving),
-  /// retires the old workers and router, rebalances the relation's
-  /// partitions round-robin across the new node count, rebuilds the
-  /// data plane, and bumps the membership epoch so frames from the old
-  /// plane can never fold into a post-resize query. Blocks until done;
-  /// must not be called concurrently with Shutdown or another Resize.
-  Status Resize(int new_num_nodes);
-
-  /// Current cluster-membership epoch: 0 at start, +1 per completed
-  /// Resize. Every session is stamped with the epoch it was activated
-  /// under; stale-epoch frames are dropped on admission.
-  uint32_t membership_epoch() const ADAPTAGG_EXCLUDES(mu_);
-
   /// Drops every cached result (explicit invalidation hook for
   /// out-of-band relation mutation; version-keyed lookups already
   /// never serve a stale entry after PartitionedRelation::BumpVersion).
@@ -149,14 +134,13 @@ class ClusterService {
   int resident_threads() const;
 
   const SystemParams& params() const { return config_.params; }
-  const SessionRouter& router() const { return *router_; }
+  const SessionRouter& router() const { return router_; }
 
  private:
   struct Session;
   struct NodeTaskQueue;
 
   ClusterService(ServiceConfig config, PartitionedRelation* rel,
-                 Cluster::TransportFactory mesh_factory,
                  std::vector<std::unique_ptr<Transport>> mesh);
 
   /// Admission-time setup (metrics, the session's QueryExecution)
@@ -169,8 +153,7 @@ class ClusterService {
   /// FinishSession's replay branch after a crash.
   void StartAttempt(Session* session) ADAPTAGG_REQUIRES(mu_);
 
-  /// Pumps queued submissions in FIFO order while capacity lasts (and
-  /// the data plane is not mid-resize).
+  /// Pumps queued submissions in FIFO order while capacity lasts.
   void PumpPending() ADAPTAGG_REQUIRES(mu_);
 
   void WorkerLoop(int node);
@@ -181,21 +164,16 @@ class ClusterService {
   /// the ticket.
   void FinishSession(Session* session);
 
-  ServiceConfig config_;
+  /// Fixed once Start returns, so every thread reads it without a lock.
+  const ServiceConfig config_;
   PartitionedRelation* rel_;
-  /// Kept beyond Start so Resize can build a replacement mesh.
-  Cluster::TransportFactory mesh_factory_;
-  std::unique_ptr<SessionRouter> router_;
+  SessionRouter router_;
   ResultCache cache_;
 
   mutable Mutex mu_;
   Scheduler scheduler_ ADAPTAGG_GUARDED_BY(mu_);
   bool accepting_ ADAPTAGG_GUARDED_BY(mu_) = true;
   bool joined_ ADAPTAGG_GUARDED_BY(mu_) = false;
-  /// True while Resize is swapping the data plane: submissions park in
-  /// pending_ and the completion pump stalls until the swap finishes.
-  bool resizing_ ADAPTAGG_GUARDED_BY(mu_) = false;
-  uint32_t membership_epoch_ ADAPTAGG_GUARDED_BY(mu_) = 0;
   std::map<uint32_t, std::unique_ptr<Session>> active_
       ADAPTAGG_GUARDED_BY(mu_);
   std::deque<std::unique_ptr<Session>> pending_ ADAPTAGG_GUARDED_BY(mu_);
@@ -219,7 +197,6 @@ class ClusterService {
   Counter completed_;
   Counter aborted_;
   Counter replays_;
-  Counter resizes_;
   Gauge inflight_high_water_;
   Gauge queue_depth_high_water_;
   Gauge late_frames_dropped_;

@@ -38,41 +38,35 @@ Result<FileId> SimDisk::CreateFile(const std::string& name) {
   return id;
 }
 
-Status SimDisk::AppendPage(FileId file, const std::vector<uint8_t>& page) {
-  {
-    MutexLock lock(&mu_);
-    auto it = files_.find(file);
-    if (it == files_.end()) {
-      return Status::NotFound("SimDisk: no file " + std::to_string(file));
-    }
-    if (static_cast<int>(page.size()) != page_size()) {
-      return Status::InvalidArgument("page size mismatch: got " +
-                                     std::to_string(page.size()));
-    }
-    it->second.push_back(page);
+Status SimDisk::AppendPageUncounted(FileId file,
+                                    const std::vector<uint8_t>& page) {
+  MutexLock lock(&mu_);
+  auto it = files_.find(file);
+  if (it == files_.end()) {
+    return Status::NotFound("SimDisk: no file " + std::to_string(file));
   }
-  CountWrite();
+  if (static_cast<int>(page.size()) != page_size()) {
+    return Status::InvalidArgument("page size mismatch: got " +
+                                   std::to_string(page.size()));
+  }
+  it->second.push_back(page);
   return Status::OK();
 }
 
-Result<const uint8_t*> SimDisk::ReadPage(FileId file, int64_t index,
-                                         std::vector<uint8_t>& scratch) {
+Result<const uint8_t*> SimDisk::ReadPageUncounted(
+    FileId file, int64_t index, std::vector<uint8_t>& scratch) {
   (void)scratch;  // the view points at the stored page
-  const uint8_t* view;
-  {
-    MutexLock lock(&mu_);
-    auto it = files_.find(file);
-    if (it == files_.end()) {
-      return Status::NotFound("SimDisk: no file " + std::to_string(file));
-    }
-    if (index < 0 || index >= static_cast<int64_t>(it->second.size())) {
-      return Status::OutOfRange("SimDisk: page " + std::to_string(index) +
-                                " of " + std::to_string(it->second.size()));
-    }
-    view = it->second[static_cast<size_t>(index)].data();
+  MutexLock lock(&mu_);
+  auto it = files_.find(file);
+  if (it == files_.end()) {
+    return Status::NotFound("SimDisk: no file " + std::to_string(file));
   }
-  CountRead(file, index);
-  return view;
+  if (index < 0 || index >= static_cast<int64_t>(it->second.size())) {
+    return Status::OutOfRange("SimDisk: page " + std::to_string(index) +
+                              " of " + std::to_string(it->second.size()));
+  }
+  return static_cast<const uint8_t*>(
+      it->second[static_cast<size_t>(index)].data());
 }
 
 Result<int64_t> SimDisk::NumPages(FileId file) const {
@@ -121,46 +115,41 @@ Result<FileId> FileDisk::CreateFile(const std::string& name) {
   return id;
 }
 
-Status FileDisk::AppendPage(FileId file, const std::vector<uint8_t>& page) {
-  {
-    MutexLock lock(&mu_);
-    auto it = files_.find(file);
-    if (it == files_.end()) {
-      return Status::NotFound("FileDisk: no file " + std::to_string(file));
-    }
-    if (static_cast<int>(page.size()) != page_size()) {
-      return Status::InvalidArgument("page size mismatch");
-    }
-    off_t off = static_cast<off_t>(it->second.num_pages) * page_size();
-    ssize_t n = ::pwrite(it->second.fd, page.data(), page.size(), off);
-    if (n != static_cast<ssize_t>(page.size())) {
-      return Status::IOError("pwrite: " + std::string(std::strerror(errno)));
-    }
-    ++it->second.num_pages;
+Status FileDisk::AppendPageUncounted(FileId file,
+                                     const std::vector<uint8_t>& page) {
+  MutexLock lock(&mu_);
+  auto it = files_.find(file);
+  if (it == files_.end()) {
+    return Status::NotFound("FileDisk: no file " + std::to_string(file));
   }
-  CountWrite();
+  if (static_cast<int>(page.size()) != page_size()) {
+    return Status::InvalidArgument("page size mismatch");
+  }
+  off_t off = static_cast<off_t>(it->second.num_pages) * page_size();
+  ssize_t n = ::pwrite(it->second.fd, page.data(), page.size(), off);
+  if (n != static_cast<ssize_t>(page.size())) {
+    return Status::IOError("pwrite: " + std::string(std::strerror(errno)));
+  }
+  ++it->second.num_pages;
   return Status::OK();
 }
 
-Result<const uint8_t*> FileDisk::ReadPage(FileId file, int64_t index,
-                                          std::vector<uint8_t>& scratch) {
-  {
-    MutexLock lock(&mu_);
-    auto it = files_.find(file);
-    if (it == files_.end()) {
-      return Status::NotFound("FileDisk: no file " + std::to_string(file));
-    }
-    if (index < 0 || index >= it->second.num_pages) {
-      return Status::OutOfRange("FileDisk: page " + std::to_string(index));
-    }
-    scratch.resize(static_cast<size_t>(page_size()));
-    off_t off = static_cast<off_t>(index) * page_size();
-    ssize_t n = ::pread(it->second.fd, scratch.data(), scratch.size(), off);
-    if (n != static_cast<ssize_t>(scratch.size())) {
-      return Status::IOError("pread: " + std::string(std::strerror(errno)));
-    }
+Result<const uint8_t*> FileDisk::ReadPageUncounted(
+    FileId file, int64_t index, std::vector<uint8_t>& scratch) {
+  MutexLock lock(&mu_);
+  auto it = files_.find(file);
+  if (it == files_.end()) {
+    return Status::NotFound("FileDisk: no file " + std::to_string(file));
   }
-  CountRead(file, index);
+  if (index < 0 || index >= it->second.num_pages) {
+    return Status::OutOfRange("FileDisk: page " + std::to_string(index));
+  }
+  scratch.resize(static_cast<size_t>(page_size()));
+  off_t off = static_cast<off_t>(index) * page_size();
+  ssize_t n = ::pread(it->second.fd, scratch.data(), scratch.size(), off);
+  if (n != static_cast<ssize_t>(scratch.size())) {
+    return Status::IOError("pread: " + std::string(std::strerror(errno)));
+  }
   return static_cast<const uint8_t*>(scratch.data());
 }
 

@@ -29,8 +29,10 @@ struct DiskStats {
 
 /// Abstract page-oriented store modeling one node's local disk in a
 /// shared-nothing cluster. Files are append-only sequences of fixed-size
-/// pages, readable by index. Implementations track DiskStats; the paper's
-/// I/O times are charged by the caller (CostClock) from those counters.
+/// pages, readable by index. AppendPage and ReadPage count each page once,
+/// in DiskStats on the disk they are called on; implementations supply
+/// the uncounted page I/O underneath. The paper's I/O times are charged by
+/// the caller (CostClock) from those counters.
 ///
 /// Thread-safe: the serving layer runs concurrent query sessions against
 /// one node's disks, so every operation and the stats counters are
@@ -62,7 +64,11 @@ class Disk {
   virtual Result<FileId> CreateFile(const std::string& name) = 0;
 
   /// Appends one page (must be exactly page_size bytes).
-  virtual Status AppendPage(FileId file, const std::vector<uint8_t>& page) = 0;
+  Status AppendPage(FileId file, const std::vector<uint8_t>& page) {
+    ADAPTAGG_RETURN_IF_ERROR(AppendPageUncounted(file, page));
+    CountWrite();
+    return Status::OK();
+  }
 
   /// Reads page `index` and returns a view of its page_size bytes. A disk
   /// that keeps its pages in memory returns a view of its own copy
@@ -71,8 +77,13 @@ class Disk {
   /// valid until the next read into the same buffer. Callers therefore
   /// keep `scratch` alive while they use the view, and never write
   /// through it.
-  virtual Result<const uint8_t*> ReadPage(FileId file, int64_t index,
-                                          std::vector<uint8_t>& scratch) = 0;
+  Result<const uint8_t*> ReadPage(FileId file, int64_t index,
+                                  std::vector<uint8_t>& scratch) {
+    ADAPTAGG_ASSIGN_OR_RETURN(const uint8_t* view,
+                              ReadPageUncounted(file, index, scratch));
+    CountRead(file, index);
+    return view;
+  }
 
   /// Number of pages currently in the file.
   virtual Result<int64_t> NumPages(FileId file) const = 0;
@@ -81,6 +92,18 @@ class Disk {
   virtual Status DeleteFile(FileId file) = 0;
 
  protected:
+  // ScopedDisk forwards its page I/O to its base disk's uncounted hooks,
+  // so a page read or written through a view is counted on the view only.
+  friend class ScopedDisk;
+
+  /// The page I/O behind AppendPage and ReadPage, with the same contracts
+  /// and no counting.
+  virtual Status AppendPageUncounted(FileId file,
+                                     const std::vector<uint8_t>& page) = 0;
+  virtual Result<const uint8_t*> ReadPageUncounted(
+      FileId file, int64_t index, std::vector<uint8_t>& scratch) = 0;
+
+ private:
   /// Classifies and counts a read of page `index` of `file`: sequential if
   /// it directly follows the previous read of the same file.
   void CountRead(FileId file, int64_t index);
@@ -89,7 +112,6 @@ class Disk {
     ++stats_.pages_written;
   }
 
- private:
   int page_size_;
   mutable Mutex stats_mu_;
   DiskStats stats_ ADAPTAGG_GUARDED_BY(stats_mu_);
@@ -110,11 +132,14 @@ class SimDisk : public Disk {
   explicit SimDisk(int page_size);
 
   Result<FileId> CreateFile(const std::string& name) override;
-  Status AppendPage(FileId file, const std::vector<uint8_t>& page) override;
-  Result<const uint8_t*> ReadPage(FileId file, int64_t index,
-                                  std::vector<uint8_t>& scratch) override;
   Result<int64_t> NumPages(FileId file) const override;
   Status DeleteFile(FileId file) override;
+
+ protected:
+  Status AppendPageUncounted(FileId file,
+                             const std::vector<uint8_t>& page) override;
+  Result<const uint8_t*> ReadPageUncounted(
+      FileId file, int64_t index, std::vector<uint8_t>& scratch) override;
 
  private:
   mutable Mutex mu_;
@@ -133,11 +158,14 @@ class FileDisk : public Disk {
   ~FileDisk() override;
 
   Result<FileId> CreateFile(const std::string& name) override;
-  Status AppendPage(FileId file, const std::vector<uint8_t>& page) override;
-  Result<const uint8_t*> ReadPage(FileId file, int64_t index,
-                                  std::vector<uint8_t>& scratch) override;
   Result<int64_t> NumPages(FileId file) const override;
   Status DeleteFile(FileId file) override;
+
+ protected:
+  Status AppendPageUncounted(FileId file,
+                             const std::vector<uint8_t>& page) override;
+  Result<const uint8_t*> ReadPageUncounted(
+      FileId file, int64_t index, std::vector<uint8_t>& scratch) override;
 
  private:
   struct OpenFile {

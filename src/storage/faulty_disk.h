@@ -22,21 +22,23 @@ class FaultySimDisk : public SimDisk {
   /// Fail all appends after `n` more successful appends (-1 disables).
   void FailWritesAfter(int64_t n) { writes_left_ = n; }
 
-  Result<const uint8_t*> ReadPage(FileId file, int64_t index,
-                                  std::vector<uint8_t>& scratch) override {
+ protected:
+  Result<const uint8_t*> ReadPageUncounted(
+      FileId file, int64_t index, std::vector<uint8_t>& scratch) override {
     if (reads_left_ == 0) {
       return Status::IOError("injected read fault");
     }
     if (reads_left_ > 0) --reads_left_;
-    return SimDisk::ReadPage(file, index, scratch);
+    return SimDisk::ReadPageUncounted(file, index, scratch);
   }
 
-  Status AppendPage(FileId file, const std::vector<uint8_t>& page) override {
+  Status AppendPageUncounted(FileId file,
+                             const std::vector<uint8_t>& page) override {
     if (writes_left_ == 0) {
       return Status::IOError("injected write fault");
     }
     if (writes_left_ > 0) --writes_left_;
-    return SimDisk::AppendPage(file, page);
+    return SimDisk::AppendPageUncounted(file, page);
   }
 
  private:
@@ -61,16 +63,18 @@ class TornWriteDisk : public SimDisk {
   /// Appends this disk has performed (torn one included).
   int64_t writes_seen() const { return writes_seen_; }
 
-  Status AppendPage(FileId file, const std::vector<uint8_t>& page) override {
+ protected:
+  Status AppendPageUncounted(FileId file,
+                             const std::vector<uint8_t>& page) override {
     const int64_t at = writes_seen_++;
     if (at == tear_at_) {
       std::vector<uint8_t> torn = page;
       const size_t keep = torn.size() / 2;
       std::fill(torn.begin() + static_cast<ptrdiff_t>(keep), torn.end(),
                 uint8_t{0});
-      return SimDisk::AppendPage(file, torn);
+      return SimDisk::AppendPageUncounted(file, torn);
     }
-    return SimDisk::AppendPage(file, page);
+    return SimDisk::AppendPageUncounted(file, page);
   }
 
  private:

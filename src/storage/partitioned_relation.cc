@@ -70,46 +70,4 @@ void PartitionedRelation::ResetDiskStats() {
   for (auto& d : disks_) d->ResetStats();
 }
 
-Status PartitionedRelation::Rebalance(int new_num_nodes) {
-  if (new_num_nodes <= 0) {
-    return Status::InvalidArgument("num_nodes must be positive");
-  }
-  const int page_size = disks_[0]->page_size();
-  std::vector<std::unique_ptr<Disk>> new_disks;
-  std::vector<std::unique_ptr<HeapFile>> new_parts;
-  new_disks.reserve(static_cast<size_t>(new_num_nodes));
-  new_parts.reserve(static_cast<size_t>(new_num_nodes));
-  for (int i = 0; i < new_num_nodes; ++i) {
-    new_disks.push_back(std::make_unique<SimDisk>(page_size));
-    ADAPTAGG_ASSIGN_OR_RETURN(
-        HeapFile hf, HeapFile::Create(new_disks.back().get(), schema_.get(),
-                                      "part" + std::to_string(i)));
-    new_parts.push_back(std::make_unique<HeapFile>(std::move(hf)));
-  }
-  // Round-robin redistribution: preserves the global multiset and keeps
-  // the new partitions balanced to within one tuple.
-  int dest = 0;
-  const uint8_t* run[64];
-  for (auto& part : partitions_) {
-    HeapFileScanner scan(part.get());
-    while (true) {
-      const int got = scan.NextRun(run, 64);
-      if (got == 0) break;
-      for (int r = 0; r < got; ++r) {
-        ADAPTAGG_RETURN_IF_ERROR(
-            new_parts[static_cast<size_t>(dest)]->AppendRaw(run[r]));
-        dest = (dest + 1) % new_num_nodes;
-      }
-    }
-    ADAPTAGG_RETURN_IF_ERROR(scan.status());
-  }
-  for (auto& p : new_parts) {
-    ADAPTAGG_RETURN_IF_ERROR(p->Flush());
-  }
-  disks_ = std::move(new_disks);
-  partitions_ = std::move(new_parts);
-  BumpVersion();
-  return Status::OK();
-}
-
 }  // namespace adaptagg

@@ -46,14 +46,6 @@ class PartitionedRelation {
   /// Resets per-disk I/O counters (call between experiment runs).
   void ResetDiskStats();
 
-  /// Redistributes every tuple round-robin over `new_num_nodes` fresh
-  /// partitions (on fresh SimDisks with the current page size),
-  /// replacing the old layout — the rebalancing half of an elastic
-  /// node join/leave. Preserves the global tuple multiset, balances
-  /// partitions to within one tuple, and bumps the version so cached
-  /// results keyed on the old layout can never be served.
-  Status Rebalance(int new_num_nodes);
-
   /// Monotonic mutation counter, the cache-invalidation half of the
   /// serving layer's result-cache key: any Append (and any explicit
   /// BumpVersion by an out-of-band mutator) advances it, so cached

@@ -12,9 +12,11 @@ namespace adaptagg {
 /// underlying disk (same FileId space, so partition files created on the
 /// base are readable through the view), but the DiskStats counters — and
 /// with them the sequential/random read classification — are kept
-/// per-view. Concurrent query sessions interleave their page accesses on
-/// the shared base disk; charging modeled I/O time off the base counters
-/// would make each query's simulated time depend on its neighbors.
+/// per-view: a page read or written through the view counts on the view
+/// and not on the base. Concurrent query sessions interleave their page
+/// accesses on the shared base disk; charging modeled I/O time off the
+/// base counters would make each query's simulated time depend on its
+/// neighbors.
 /// Charging off a ScopedDisk keeps every session's I/O accounting
 /// byte-identical to the same query run alone.
 ///
@@ -29,25 +31,24 @@ class ScopedDisk : public Disk {
     return base_->CreateFile(name);
   }
 
-  Status AppendPage(FileId file, const std::vector<uint8_t>& page) override {
-    ADAPTAGG_RETURN_IF_ERROR(base_->AppendPage(file, page));
-    CountWrite();
-    return Status::OK();
-  }
-
-  Result<const uint8_t*> ReadPage(FileId file, int64_t index,
-                                  std::vector<uint8_t>& scratch) override {
-    ADAPTAGG_ASSIGN_OR_RETURN(const uint8_t* view,
-                              base_->ReadPage(file, index, scratch));
-    CountRead(file, index);
-    return view;
-  }
-
   Result<int64_t> NumPages(FileId file) const override {
     return base_->NumPages(file);
   }
 
   Status DeleteFile(FileId file) override { return base_->DeleteFile(file); }
+
+ protected:
+  // Page I/O goes to the base's uncounted hooks: the base counts nothing,
+  // and Disk::AppendPage / Disk::ReadPage count once, on this view.
+  Status AppendPageUncounted(FileId file,
+                             const std::vector<uint8_t>& page) override {
+    return base_->AppendPageUncounted(file, page);
+  }
+
+  Result<const uint8_t*> ReadPageUncounted(
+      FileId file, int64_t index, std::vector<uint8_t>& scratch) override {
+    return base_->ReadPageUncounted(file, index, scratch);
+  }
 
  private:
   Disk* base_;

@@ -2,13 +2,7 @@
 
 #include <memory>
 #include <optional>
-#include <string>
-#include <vector>
 
-#include "cluster/node_context.h"
-#include "core/phases.h"
-#include "net/fault.h"
-#include "net/transport.h"
 #include "test_util.h"
 
 namespace adaptagg {
@@ -90,61 +84,6 @@ TEST_F(RecoveryParityTest, CadenceZeroMeansNoCheckpoints) {
   RunResult on = RunWith(AlgorithmKind::kTwoPhase, true, 0);
   ASSERT_OK(on.status);
   EXPECT_EQ(on.metrics.Value("recovery.checkpoints_written"), 0);
-}
-
-// ---------------------------------------------------------------------
-// Membership-epoch hygiene: a frame stamped with another epoch is a
-// stale leftover of a pre-resize mesh and must be dropped on admission,
-// before any sequence or aggregation bookkeeping.
-
-TEST(StaleEpochTest, MismatchedEpochFramesAreDroppedOnAdmission) {
-  auto mesh = MakeInprocMesh(2);
-  SystemParams params = SmallClusterParams(2, 100);
-  NetworkModel net(params);
-  Schema schema = MakeBenchSchema(32);
-  auto spec_or = MakeBenchQuery(&schema);
-  ASSERT_TRUE(spec_or.ok());
-  AggregationSpec spec = std::move(spec_or).value();
-
-  AlgorithmOptions old_epoch;
-  old_epoch.epoch = 1;
-  AlgorithmOptions new_epoch;
-  new_epoch.epoch = 2;
-
-  NodeContext receiver(1, params, spec, new_epoch, nullptr, nullptr,
-                       mesh[1].get(), &net);
-
-  // A sender still living in epoch 1 — its frame must vanish at the
-  // receiver without touching sequence state.
-  {
-    NodeContext stale_sender(0, params, spec, old_epoch, nullptr, nullptr,
-                             mesh[0].get(), &net);
-    Message m;
-    m.type = MessageType::kEndOfStream;
-    m.phase = kPhaseData;
-    ASSERT_OK(stale_sender.Send(1, std::move(m)));
-  }
-  ASSERT_OK_AND_ASSIGN(std::optional<Message> dropped,
-                       receiver.TryRecv());
-  EXPECT_FALSE(dropped.has_value());
-  EXPECT_EQ(receiver.obs().registry().Snapshot().Value(
-                "recovery.stale_epoch_dropped"),
-            1);
-
-  // A current-epoch sender on the same endpoint gets through — and the
-  // stale frame left no sequence-number shadow behind.
-  {
-    NodeContext live_sender(0, params, spec, new_epoch, nullptr, nullptr,
-                            mesh[0].get(), &net);
-    Message m;
-    m.type = MessageType::kEndOfStream;
-    m.phase = kPhaseData;
-    ASSERT_OK(live_sender.Send(1, std::move(m)));
-  }
-  ASSERT_OK_AND_ASSIGN(std::optional<Message> delivered,
-                       receiver.TryRecv());
-  ASSERT_TRUE(delivered.has_value());
-  EXPECT_EQ(delivered->type, MessageType::kEndOfStream);
 }
 
 }  // namespace

@@ -97,16 +97,16 @@ TEST(Message, SequenceNumberRoundtrips) {
 }
 
 TEST(Message, EpochAndPageSeqRoundtrip) {
-  // The recovery/elasticity header fields must survive the wire and
-  // default to 0 ("initial epoch" / "not a data page").
+  // The session and recovery header fields must survive the wire and
+  // default to 0 ("no session" / "not a data page").
   Message m;
   m.type = MessageType::kPartialPage;
-  m.epoch = 7;
+  m.query_id = 7;
   m.page_seq = 0xFEDCBA9876543210ull;
   std::vector<uint8_t> wire = m.Serialize();
   auto back = Message::Deserialize(wire.data() + 4, wire.size() - 4);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->epoch, 7u);
+  EXPECT_EQ(back->query_id, 7u);
   EXPECT_EQ(back->page_seq, 0xFEDCBA9876543210ull);
 
   Message plain;
@@ -114,7 +114,7 @@ TEST(Message, EpochAndPageSeqRoundtrip) {
   wire = plain.Serialize();
   back = Message::Deserialize(wire.data() + 4, wire.size() - 4);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->epoch, 0u);
+  EXPECT_EQ(back->query_id, 0u);
   EXPECT_EQ(back->page_seq, 0u);
 }
 

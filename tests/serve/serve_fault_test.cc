@@ -1,9 +1,11 @@
 // Fault isolation in the serving layer: an injected crash aborts only
 // the query that carries the fault plan. Its concurrent neighbors —
 // sharing the physical mesh, the relation, and the worker pools — finish
-// correctly, and the service keeps serving afterwards. The failure mode
-// being guarded against is a hang (a crashed session wedging a shared
-// resource), so the suite runs under a hard ctest timeout.
+// correctly, and the service keeps serving afterwards. With recovery
+// armed, a crashed session replays inside the service without the client
+// ever seeing the failure. The failure mode being guarded against is a
+// hang (a crashed session wedging a shared resource), so the suite runs
+// under a hard ctest timeout.
 
 #include <chrono>
 #include <memory>
@@ -145,6 +147,58 @@ TEST(ServeFault, CrashedPeerDetectedAtTransportSpeed) {
 
   service->Shutdown();
   EXPECT_EQ(service->resident_threads(), 0);
+}
+
+TEST(ServeFault, CrashedSessionReplaysInsideTheService) {
+  WorkloadSpec workload;
+  workload.num_nodes = 3;
+  workload.num_tuples = 9'000;
+  workload.num_groups = 300;
+  ASSERT_OK_AND_ASSIGN(PartitionedRelation rel, GenerateRelation(workload));
+  ASSERT_OK_AND_ASSIGN(AggregationSpec spec, MakeBenchQuery(&rel.schema()));
+  ASSERT_OK_AND_ASSIGN(ResultSet expected, ReferenceAggregate(spec, rel));
+
+  ServiceConfig config;
+  config.params = SmallClusterParams(3, workload.num_tuples);
+  config.cache_entries = 0;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ClusterService> service,
+                       ClusterService::Start(config, &rel));
+
+  // Node 1 crashes mid-scan; with recovery on, the service replays the
+  // session internally and the ticket resolves OK — the client never
+  // sees the crash.
+  ServeQuery query;
+  query.spec = spec;
+  query.algorithm = AlgorithmKind::kAdaptiveTwoPhase;
+  ASSERT_OK_AND_ASSIGN(query.options.fault_plan,
+                       FaultPlan::Parse("crash:node=1,tuple=500"));
+  query.options.failure.recv_idle_timeout_s = 2.0;
+  query.options.recovery.enabled = true;
+  query.options.recovery.checkpoint_every_batches = 4;
+
+  ASSERT_OK_AND_ASSIGN(QueryTicketPtr ticket, service->Submit(query));
+  const RunResult& run = ticket->Wait();
+  ASSERT_OK(run.status);
+  EXPECT_TRUE(ResultSetsEqual(run.results, expected));
+  EXPECT_EQ(run.metrics.Value("recovery.attempts"), 1);
+  EXPECT_EQ(run.metrics.Value("recovery.attempt_wall_us"), 2);
+
+  MetricsSnapshot metrics = service->Metrics();
+  EXPECT_GE(metrics.Value("serve.recovery.replays"), 1);
+  EXPECT_EQ(metrics.Value("serve.aborted"), 0);
+  EXPECT_EQ(metrics.Value("serve.completed"), 1);
+
+  // Without recovery, the same plan still aborts descriptively: the
+  // replay path must not swallow legitimate failures.
+  query.options.recovery.enabled = false;
+  ASSERT_OK_AND_ASSIGN(QueryTicketPtr doomed, service->Submit(query));
+  const RunResult& aborted = doomed->Wait();
+  EXPECT_FALSE(aborted.status.ok());
+  EXPECT_NE(aborted.status.message().find("injected crash"),
+            std::string::npos)
+      << aborted.status.ToString();
+
+  service->Shutdown();
 }
 
 }  // namespace

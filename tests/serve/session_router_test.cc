@@ -104,6 +104,37 @@ TEST(SessionRouter, LateFramesAreDroppedAndCounted) {
   EXPECT_FALSE(a[1]->TryRecv().has_value());
 }
 
+TEST(SessionRouter, ClosedSessionFramesNeverReachItsReplay) {
+  // A served replay runs under a fresh wire id on the same mesh: the
+  // crashed attempt's session closes, the replay's opens, and whatever
+  // the crashed attempt still sends must never reach the replay.
+  SessionRouter router(MakeInprocMesh(2));
+  ASSERT_OK_AND_ASSIGN(auto crashed, router.OpenSession(7));
+  router.CloseSession(7);
+  ASSERT_OK_AND_ASSIGN(auto replay, router.OpenSession(8));
+
+  // A late data frame and a late heartbeat from the crashed attempt. A
+  // live session's heartbeat is fanned out to its neighbors; a closed
+  // session's must not be.
+  ASSERT_OK(crashed[0]->Send(1, MakeFrame(MessageType::kPartialPage, "old")));
+  ASSERT_OK(crashed[0]->Send(1, MakeFrame(MessageType::kHeartbeat, "")));
+  for (int i = 0; i < 200 && router.late_frames_dropped() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(router.late_frames_dropped(), 2u);
+  EXPECT_EQ(router.heartbeats_shared(), 0u);
+  EXPECT_FALSE(replay[0]->TryRecv().has_value());
+  EXPECT_FALSE(replay[1]->TryRecv().has_value());
+
+  // The replay's own traffic is delivered.
+  ASSERT_OK(replay[0]->Send(1, MakeFrame(MessageType::kPartialPage, "new")));
+  ASSERT_OK_AND_ASSIGN(Message got, replay[1]->RecvWithDeadline(5.0));
+  EXPECT_EQ(got.query_id, 8u);
+  EXPECT_EQ(PayloadOf(got), "new");
+  EXPECT_FALSE(replay[1]->TryRecv().has_value());
+  EXPECT_EQ(router.late_frames_dropped(), 2u);
+}
+
 TEST(SessionRouter, FailStopIsPerSessionEndpoint) {
   SessionRouter router(MakeInprocMesh(2));
   ASSERT_OK_AND_ASSIGN(auto a, router.OpenSession(7));

@@ -180,10 +180,12 @@ TEST_F(SpillFileTest, InjectedReadFaultIsTheReadersStatus) {
 class HeaderCorruptingDisk : public SimDisk {
  public:
   using SimDisk::SimDisk;
-  Result<const uint8_t*> ReadPage(FileId file, int64_t index,
-                                  std::vector<uint8_t>& scratch) override {
+
+ protected:
+  Result<const uint8_t*> ReadPageUncounted(
+      FileId file, int64_t index, std::vector<uint8_t>& scratch) override {
     ADAPTAGG_ASSIGN_OR_RETURN(const uint8_t* page,
-                              SimDisk::ReadPage(file, index, scratch));
+                              SimDisk::ReadPageUncounted(file, index, scratch));
     // The stored page stays intact; the damaged copy is what is read.
     scratch.assign(page, page + page_size());
     const uint32_t frames = 0xFFFF;
