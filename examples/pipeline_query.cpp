@@ -1,6 +1,6 @@
-// Full SQL-shaped query through the builder API (§2's operator
-// pipeline): WHERE is evaluated by a select operator feeding each node's
-// aggregation, HAVING after grouping on the emitted rows.
+// Full SQL-shaped query through the builder API (§2's scan → select →
+// aggregate pipeline): WHERE is evaluated by each node's scan as it
+// feeds the aggregation, HAVING after grouping on the emitted rows.
 //
 //   SELECT g, COUNT(*) AS cnt, SUM(v) AS total, MAX(v) AS peak
 //   FROM R

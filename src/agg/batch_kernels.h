@@ -35,11 +35,11 @@ struct BatchGatherStats {
 };
 
 /// A batch of up to kBatchWidth projected records plus their key hashes.
-/// Scan loops gather into it one page-run at a time (projection happens
-/// at gather, because operator TupleViews only stay valid until the next
-/// operator call), hash all keys in one pass, and hand the batch to the
-/// aggregation kernels. The arena is allocated once and reused across
-/// batches.
+/// Scan loops gather into it one page run at a time (projection happens
+/// at gather, because a scanned page run may only stay valid until the
+/// scanner loads the next page), hash all keys in one pass, and hand
+/// the batch to the aggregation kernels. The arena is allocated once
+/// and reused across batches.
 class TupleBatch {
  public:
   /// `spec` must outlive the batch.

@@ -5,8 +5,6 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "exec/scan.h"
-#include "exec/select.h"
 #include "model/cost_model.h"
 
 namespace adaptagg {
@@ -57,12 +55,8 @@ NodeContext::NodeContext(int node_id, const SystemParams& params,
   idle_timeout_s_ = options.failure.recv_idle_timeout_s > 0
                         ? options.failure.recv_idle_timeout_s
                         : DeriveIdleTimeoutS(params, armed_);
-  heartbeat_interval_s_ = options.failure.heartbeat_interval_s > 0
-                              ? options.failure.heartbeat_interval_s
-                              : idle_timeout_s_ / 4;
-  phase_budget_s_ = options.failure.phase_budget_s > 0
-                        ? options.failure.phase_budget_s
-                        : 8 * idle_timeout_s_;
+  heartbeat_interval_s_ = idle_timeout_s_ / 4;
+  phase_budget_s_ = 8 * idle_timeout_s_;
   tick_s_ = std::min(idle_timeout_s_ / 4, 0.25);
   last_heartbeat_wall_ = WallSeconds();
 
@@ -394,77 +388,39 @@ void NodeContext::FinalizeObs() {
 
 LocalScanner::LocalScanner(NodeContext* ctx)
     : ctx_(ctx),
-      select_cost_(ctx->params().t_r() + ctx->params().t_w()) {
-  // The scan operator gets no clock: the node's disk I/O is accounted
-  // centrally by NodeContext::SyncDiskIo (one accountant per disk —
-  // a second baseline here would double-charge the scan pages). Select
-  // cost is charged per tuple below.
-  RowOperatorPtr scan = std::make_unique<ScanOperator>(
-      ctx->local_partition(), /*clock=*/nullptr, /*params=*/nullptr);
-  if (ctx->options().where != nullptr) {
-    // The WHERE predicate was validated by Cluster::Run; Make re-checks
-    // cheaply and wires the select into the pipeline.
-    Result<RowOperatorPtr> select =
-        SelectOperator::Make(std::move(scan), ctx->options().where,
-                             &ctx->clock(), &ctx->params());
-    if (!select.ok()) {
-      status_ = select.status();
-      return;
-    }
-    op_ = std::move(select).value();
-  } else {
-    op_ = std::move(scan);
-  }
-  status_ = op_->Open();
-}
-
-TupleView LocalScanner::Next() {
-  if (!status_.ok() || op_ == nullptr) return TupleView();
-  TupleView t = op_->Next();
-  if (t.valid()) {
-    ctx_->clock().AddCpu(select_cost_);
-    ++ctx_->stats().tuples_scanned;
-    Status fault = ctx_->CheckScanFault();
-    if (!fault.ok()) {
-      status_ = fault;
-      return TupleView();
-    }
-  } else {
-    status_ = op_->Close();
-    op_.reset();
-    ctx_->SyncDiskIo();
-  }
-  return t;
-}
+      scanner_(ctx->local_partition()),
+      where_(ctx->options().where.get()),
+      select_cost_(ctx->params().t_r() + ctx->params().t_w()) {}
 
 int LocalScanner::FillBatch(TupleBatch& batch) {
   batch.Clear();
-  if (!status_.ok() || op_ == nullptr) return 0;
-  TupleView views[kBatchWidth];
+  if (!status_.ok()) return 0;
+  const Schema* schema = &ctx_->spec().input_schema();
+  const int rec_size = schema->tuple_size();
+  const uint8_t* recs[kBatchWidth] = {};
   while (!batch.full()) {
-    int got = op_->NextBatch(views, kBatchWidth - batch.size());
+    const int got = scanner_.NextRun(recs, kBatchWidth - batch.size());
     if (got == 0) {
-      status_ = op_->Close();
-      op_.reset();
+      status_ = scanner_.status();
       ctx_->SyncDiskIo();
       break;
     }
-    // Project at gather: the views only stay valid until the next
-    // operator call, the projected copies live in the batch arena.
-    // Scans hand back densely packed page records, so gather maximal
-    // contiguous runs in one call each (selection gaps break runs).
-    const int rec_size = ctx_->spec().input_schema().tuple_size();
-    int i = 0;
-    while (i < got) {
-      const uint8_t* base = views[i].data();
-      int j = i + 1;
-      while (j < got &&
-             views[j].data() ==
-                 base + static_cast<size_t>(j - i) * rec_size) {
+    // Project at gather: on a FileDisk the records only stay valid
+    // until the scanner loads the next page. A run is densely packed
+    // within one page, so it gathers in one call; WHERE gaps split it
+    // into maximal runs of survivors.
+    if (where_ == nullptr) {
+      batch.GatherRun(recs[0], rec_size, got);
+      continue;
+    }
+    ctx_->clock().AddCpu(static_cast<double>(got) * ctx_->params().t_r());
+    for (int i = 0; i < got;) {
+      int j = i;
+      while (j < got && EvalPredicate(*where_, TupleView(recs[j], schema))) {
         ++j;
       }
-      batch.GatherRun(base, rec_size, j - i);
-      i = j;
+      if (j > i) batch.GatherRun(recs[i], rec_size, j - i);
+      i = j + 1;  // recs[j] failed the predicate (or j == got)
     }
   }
   const int n = batch.size();

@@ -11,7 +11,6 @@
 #include "agg/batch_kernels.h"
 #include "agg/spilling_aggregator.h"
 #include "exec/expression.h"
-#include "exec/operator.h"
 #include "net/fault.h"
 #include "net/network_model.h"
 #include "net/transport.h"
@@ -73,9 +72,9 @@ struct AlgorithmOptions {
   /// Gather rows centrally so callers/tests can inspect them.
   bool gather_results = true;
 
-  /// Optional WHERE predicate over the input schema: every node's local
-  /// scan is wrapped in a select operator (§2's pipeline architecture).
-  /// Validated by ValidateRunOptions before execution.
+  /// Optional WHERE predicate over the input schema, applied by every
+  /// node's LocalScanner (§2's scan → select pipeline). Validated by
+  /// ValidateRunOptions before execution.
   ExprPtr where;
   /// Optional HAVING predicate over the aggregation's final schema,
   /// applied when result rows are emitted (§2: evaluated after GROUP BY).
@@ -341,32 +340,29 @@ class NodeContext {
   std::vector<std::vector<uint8_t>> rows_;
 };
 
-/// This node's local input pipeline (§2's operator architecture): a
-/// cost-charging sequential scan of the partition — one sequential page
-/// I/O per page, select cost t_r + t_w per tuple — wrapped in a select
-/// operator when the run carries a WHERE predicate. Counts surviving
-/// tuples into the node's stats.
+/// This node's local input (§2's scan → select pipeline): a sequential
+/// scan of the partition, one page run at a time, that applies the
+/// run's WHERE predicate itself. Charges t_r per evaluated tuple and the
+/// select cost t_r + t_w per surviving tuple; the scan's page I/O is
+/// charged by NodeContext::SyncDiskIo. Counts surviving tuples into the
+/// node's stats.
 class LocalScanner {
  public:
   explicit LocalScanner(NodeContext* ctx);
 
-  /// Next tuple, or an invalid view at end of input (or on error —
-  /// check status() after the loop).
-  TupleView Next();
-
-  /// Batch form: clears `batch`, then gathers (projects) up to
-  /// kBatchWidth surviving tuples into it and hashes their keys.
-  /// Returns the batch size; 0 at end of input (or on error — check
-  /// status()). Per-tuple scan costs and the tuples_scanned counter are
-  /// charged in bulk, identically to calling Next() per tuple.
+  /// Clears `batch`, then gathers (projects) up to kBatchWidth surviving
+  /// tuples into it and hashes their keys. Returns the batch size; 0 at
+  /// end of input (or on error — check status()).
   int FillBatch(TupleBatch& batch);
 
-  /// OK unless opening or scanning the pipeline failed.
+  /// OK unless a page read failed or an injected scan fault fired.
   const Status& status() const { return status_; }
 
  private:
   NodeContext* ctx_;
-  RowOperatorPtr op_;
+  HeapFileScanner scanner_;
+  /// The WHERE predicate (null: every tuple survives).
+  const Expr* where_;
   Status status_;
   double select_cost_ = 0;
 };

@@ -77,10 +77,11 @@ class ColNamedExpr : public Expr {
   Result<DataType> Validate(const Schema& schema) const override {
     ADAPTAGG_ASSIGN_OR_RETURN(int idx, schema.FieldIndex(name_));
     // Cache the resolution for Eval; re-validating against a different
-    // schema re-resolves. Atomic because a shared predicate tree is
-    // re-validated by every node thread (SelectOperator::Make) while
-    // peers may already be evaluating it: all writers store the same
-    // value for a given schema, but the accesses still need ordering.
+    // schema re-resolves. Atomic because a predicate tree shared by
+    // several served queries is re-validated on each Submit
+    // (ValidateRunOptions) while node threads of an earlier query may
+    // already be evaluating it: all writers store the same value for a
+    // given schema, but the accesses still need ordering.
     index_.store(idx, std::memory_order_release);
     return schema.field(idx).type;
   }

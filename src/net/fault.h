@@ -111,12 +111,10 @@ struct FailureDetection {
   bool enabled = false;
   /// Longest a node may wait without inbound progress before it aborts
   /// the run (<0: derive from the cost model's worst-case phase time).
+  /// The heartbeat period while armed is a quarter of it, and the hard
+  /// cap on one blocking wait with live peers (catching nodes that
+  /// heartbeat but never progress) is eight times it.
   double recv_idle_timeout_s = -1;
-  /// Heartbeat broadcast period while armed (<0: timeout / 4).
-  double heartbeat_interval_s = -1;
-  /// Hard cap on one blocking wait even with live peers, catching nodes
-  /// that heartbeat but never progress (<0: 8x the idle timeout).
-  double phase_budget_s = -1;
 };
 
 /// What a FaultyTransport reports when it fires a fault: the acting

@@ -54,7 +54,6 @@ struct ClusterService::Session {
   uint64_t rel_version = 0;
   bool cacheable = false;
   std::string fingerprint;
-  int64_t est_bytes = 0;
 
   QueryTicketPtr ticket;
 
@@ -140,7 +139,6 @@ ClusterService::ClusterService(ServiceConfig config, PartitionedRelation* rel,
       scheduler_(config_.scheduler) {
   admitted_ = metrics_.counter("serve.admitted");
   rejected_queue_full_ = metrics_.counter("serve.rejected.queue_full");
-  rejected_memory_ = metrics_.counter("serve.rejected.memory");
   cache_hits_ = metrics_.counter("serve.cache.hits");
   cache_misses_ = metrics_.counter("serve.cache.misses");
   completed_ = metrics_.counter("serve.completed");
@@ -231,18 +229,15 @@ Result<QueryTicketPtr> ClusterService::Submit(ServeQuery query) {
     cache_misses_.Increment();
   }
 
-  session->est_bytes = EstimateQueryMemoryBytes(
-      session->q.spec, session->q.options, config_.params);
-
   MutexLock lock(&mu_);
   if (!accepting_) {
     return Status::FailedPrecondition("ClusterService is shut down");
   }
-  const Scheduler::Decision decision = scheduler_.Offer(
-      session->est_bytes, static_cast<int>(pending_.size()));
+  const Scheduler::Decision decision =
+      scheduler_.Offer(static_cast<int>(pending_.size()));
   switch (decision) {
     case Scheduler::Decision::kAdmit: {
-      scheduler_.Admit(session->est_bytes);
+      scheduler_.Admit();
       Session* raw = session.get();
       active_.emplace(raw->query_id, std::move(session));
       Activate(raw);
@@ -262,12 +257,6 @@ Result<QueryTicketPtr> ClusterService::Submit(ServeQuery query) {
           std::to_string(config_.scheduler.queue_capacity) +
           " queued, " + std::to_string(scheduler_.inflight()) +
           " in flight)");
-    case Scheduler::Decision::kRejectMemory:
-      rejected_memory_.Increment();
-      return Status::ResourceExhausted(
-          "estimated working set " + std::to_string(session->est_bytes) +
-          " bytes exceeds the service memory budget of " +
-          std::to_string(config_.scheduler.memory_budget_bytes) + " bytes");
   }
   return Status::Internal("unreachable scheduler decision");
 }
@@ -285,7 +274,7 @@ void ClusterService::StartAttempt(Session* s) {
   Result<std::vector<std::unique_ptr<Transport>>> endpoints =
       router_.OpenSession(s->wire_query_id);
   if (!endpoints.ok()) {
-    scheduler_.Release(s->est_bytes);
+    scheduler_.Release();
     RunResult result;
     result.query_id = s->query_id;
     result.status = endpoints.status();
@@ -360,7 +349,7 @@ void ClusterService::FinishSession(Session* s) {
     auto it = active_.find(s->query_id);
     self = std::move(it->second);
     active_.erase(it);
-    scheduler_.Release(s->est_bytes);
+    scheduler_.Release();
     PumpPending();
     if (active_.empty()) drained_cv_.NotifyAll();
   }
@@ -374,11 +363,10 @@ void ClusterService::FinishSession(Session* s) {
 }
 
 void ClusterService::PumpPending() {
-  while (!pending_.empty() &&
-         scheduler_.CanStart(pending_.front()->est_bytes)) {
+  while (!pending_.empty() && scheduler_.CanStart()) {
     std::unique_ptr<Session> next = std::move(pending_.front());
     pending_.pop_front();
-    scheduler_.Admit(next->est_bytes);
+    scheduler_.Admit();
     Session* raw = next.get();
     active_.emplace(raw->query_id, std::move(next));
     Activate(raw);

@@ -75,7 +75,7 @@ struct ServiceConfig {
   /// Cluster shape and cost model; params.num_nodes must match the
   /// served relation's partition count.
   SystemParams params;
-  /// Admission control (max in-flight, queue bound, memory budget).
+  /// Admission control (max in-flight, queue bound).
   SchedulerConfig scheduler;
   /// Result-cache capacity in entries; 0 disables caching.
   size_t cache_entries = 64;
@@ -110,7 +110,7 @@ class ClusterService {
 
   /// Submits one query. Returns a ticket immediately on admission (or
   /// a cache hit, which completes the ticket without touching the data
-  /// plane), kResourceExhausted on backpressure or memory rejection,
+  /// plane), kResourceExhausted on backpressure,
   /// kFailedPrecondition after Shutdown.
   Result<QueryTicketPtr> Submit(ServeQuery query);
 
@@ -191,7 +191,6 @@ class ClusterService {
   MetricRegistry metrics_;
   Counter admitted_;
   Counter rejected_queue_full_;
-  Counter rejected_memory_;
   Counter cache_hits_;
   Counter cache_misses_;
   Counter completed_;

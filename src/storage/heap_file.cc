@@ -67,7 +67,6 @@ bool HeapFileScanner::LoadPage(int64_t index) {
   records_in_page_ = reader.count();
   record_in_page_ = 0;
   next_page_ = index + 1;
-  ++pages_read_;
   return true;
 }
 
@@ -94,14 +93,6 @@ int HeapFileScanner::NextRun(const uint8_t** out, int max) {
   }
   record_in_page_ += take;
   return take;
-}
-
-Status HeapFileScanner::SeekToPage(int64_t index) {
-  if (index < 0 || index >= file_->num_pages()) {
-    return Status::OutOfRange("SeekToPage " + std::to_string(index));
-  }
-  LoadPage(index);
-  return status_;
 }
 
 }  // namespace adaptagg

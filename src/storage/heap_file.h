@@ -87,17 +87,11 @@ class HeapFileScanner {
   /// page as Disk::ReadPage returned it: on a SimDisk they stay valid
   /// until the file is deleted; on a FileDisk only until the scanner
   /// loads another page (the next NextRun/Next that crosses a page
-  /// boundary, or SeekToPage). Callers must assume the shorter lifetime.
+  /// boundary). Callers must assume the shorter lifetime.
   int NextRun(const uint8_t** out, int max);
 
   /// OK unless a page read failed; once non-OK the scanner stays ended.
   const Status& status() const { return status_; }
-
-  /// Reads page `index` (random access) and positions the scanner at its
-  /// first tuple. Used by page-oriented sampling.
-  Status SeekToPage(int64_t index);
-
-  int64_t pages_read() const { return pages_read_; }
 
  private:
   bool LoadPage(int64_t index);
@@ -111,7 +105,6 @@ class HeapFileScanner {
   int64_t next_page_ = 0;
   int record_in_page_ = 0;
   int records_in_page_ = 0;
-  int64_t pages_read_ = 0;
 };
 
 }  // namespace adaptagg

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "cluster/exchange.h"
+#include "cluster/run_assembly.h"
 #include "test_util.h"
 
 namespace adaptagg {
@@ -20,8 +21,10 @@ class CountingAlgorithm : public Algorithm {
 
   Status RunNode(NodeContext& ctx) const override {
     LocalScanner scan(&ctx);
+    TupleBatch batch(&ctx.spec());
     int64_t local = 0;
-    for (TupleView t = scan.Next(); t.valid(); t = scan.Next()) ++local;
+    while (int n = scan.FillBatch(batch)) local += n;
+    ADAPTAGG_RETURN_IF_ERROR(scan.status());
 
     Message m;
     m.type = MessageType::kRawPage;
@@ -212,6 +215,59 @@ TEST(NodeContext, ResolvedDefaultsFollowParams) {
   EXPECT_EQ(ctx2.max_hash_entries(), 5);
   EXPECT_EQ(ctx2.crossover_threshold(), 9);
   EXPECT_EQ(ctx2.few_groups_threshold(), 3);
+}
+
+TEST(LocalScanner, WhereFillsBatchesWithSurvivorsInScanOrder) {
+  constexpr int64_t kTuples = 1'000;
+  constexpr int64_t kSurvivors = kTuples - kTuples / 3;
+  auto mesh = MakeInprocMesh(1);
+  SystemParams params = SmallClusterParams(1, kTuples);
+  NetworkModel net(params);
+  Schema schema = MakeBenchSchema(32);
+  ASSERT_OK_AND_ASSIGN(AggregationSpec spec, MakeBenchQuery(&schema));
+  // Small pages, so page runs and batches cut each other at many points.
+  SimDisk disk(512);
+  ASSERT_OK_AND_ASSIGN(HeapFile file, HeapFile::Create(&disk, &schema, "r"));
+  TupleBuffer t(&schema);
+  for (int64_t i = 0; i < kTuples; ++i) {
+    t.SetInt64(kBenchGroupCol, i);
+    t.SetInt64(kBenchValueCol, i % 3);
+    ASSERT_OK(file.Append(t.view()));
+  }
+  ASSERT_OK(file.Flush());
+  AlgorithmOptions opts;
+  opts.where = Ne(Col(kBenchValueCol), Lit(int64_t{2}));  // every third
+  ASSERT_OK(ValidateRunOptions(spec, opts));
+
+  // The per-tuple filtered sequence, projected.
+  const size_t width = static_cast<size_t>(spec.projected_width());
+  std::vector<uint8_t> want;
+  std::vector<uint8_t> rec(width);
+  HeapFileScanner tuples(&file);
+  for (TupleView v = tuples.Next(); v.valid(); v = tuples.Next()) {
+    if (!EvalPredicate(*opts.where, v)) continue;
+    spec.ProjectRaw(v, rec.data());
+    want.insert(want.end(), rec.begin(), rec.end());
+  }
+  ASSERT_EQ(want.size(), static_cast<size_t>(kSurvivors) * width);
+
+  NodeContext ctx(0, params, spec, opts, &file, &disk, mesh[0].get(), &net);
+  LocalScanner scan(&ctx);
+  TupleBatch batch(&spec);
+  std::vector<int> sizes;
+  std::vector<uint8_t> got;
+  while (int n = scan.FillBatch(batch)) {
+    sizes.push_back(n);
+    got.insert(got.end(), batch.record(0), batch.record(0) + n * width);
+  }
+  ASSERT_OK(scan.status());
+  ASSERT_EQ(sizes.size(), static_cast<size_t>(kSurvivors / kBatchWidth + 1));
+  for (size_t b = 0; b + 1 < sizes.size(); ++b) {
+    EXPECT_EQ(sizes[b], kBatchWidth) << "batch " << b;
+  }
+  EXPECT_EQ(sizes.back(), kSurvivors % kBatchWidth);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(ctx.stats().tuples_scanned, kSurvivors);
 }
 
 }  // namespace

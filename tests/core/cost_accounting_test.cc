@@ -158,5 +158,21 @@ TEST(CostAccounting, HavingEvaluationChargesReadPerGroup) {
               1e-12);
 }
 
+TEST(CostAccounting, WhereEvaluationChargesReadPerScannedTuple) {
+  ASSERT_OK_AND_ASSIGN(Fixture f, MakeFixture());
+  SystemParams p = SmallClusterParams(kNodes, kTuples, /*M=*/10'000);
+  Cluster cluster(p);
+  AlgorithmOptions opts;
+  // g >= 0 keeps every tuple but still costs one t_r per scanned tuple.
+  opts.where = Ge(ColNamed("g"), Lit(int64_t{0}));
+  RunResult with = cluster.Run(*MakeAlgorithm(AlgorithmKind::kTwoPhase),
+                               f.spec, f.rel, opts);
+  RunResult without =
+      cluster.Run(*MakeAlgorithm(AlgorithmKind::kTwoPhase), f.spec, f.rel);
+  ASSERT_OK(with.status);
+  ASSERT_OK(without.status);
+  EXPECT_NEAR(TotalCpu(with) - TotalCpu(without), kTuples * p.t_r(), 1e-12);
+}
+
 }  // namespace
 }  // namespace adaptagg

@@ -402,35 +402,6 @@ TEST(ClusterService, BoundedQueueRejectsWithBackpressure) {
   EXPECT_GE(metrics.Value("serve.queue_depth_high_water"), 1);
 }
 
-TEST(ClusterService, OversizedQueryIsRejectedByTheMemoryBudget) {
-  ASSERT_OK_AND_ASSIGN(PartitionedRelation rel,
-                       MakeServedRelation(2, 2'000, 100));
-  const SystemParams params = SmallClusterParams(2, 2'000);
-  ASSERT_OK_AND_ASSIGN(AggregationSpec spec,
-                       MakeBenchQuery(&rel.schema()));
-
-  ServiceConfig config;
-  config.params = params;
-  config.scheduler.memory_budget_bytes =
-      EstimateQueryMemoryBytes(spec, AlgorithmOptions{}, params) - 1;
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ClusterService> service,
-                       ClusterService::Start(config, &rel));
-
-  ServeQuery query;
-  query.spec = spec;
-  auto rejected = service->Submit(query);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(rejected.status().message().find("memory"), std::string::npos)
-      << rejected.status().ToString();
-  EXPECT_EQ(service->Metrics().Value("serve.rejected.memory"), 1);
-
-  // A smaller per-query hash bound brings the same query under budget.
-  query.options.max_hash_entries = params.max_hash_entries / 2;
-  ASSERT_OK_AND_ASSIGN(QueryTicketPtr admitted, service->Submit(query));
-  ASSERT_OK(admitted->Wait().status);
-}
-
 TEST(ClusterService, ShutdownDrainsInflightAndFailsQueued) {
   ASSERT_OK_AND_ASSIGN(PartitionedRelation rel,
                        MakeServedRelation(2, 2'000, 100));

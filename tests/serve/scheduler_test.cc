@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "test_util.h"
-#include "workload/generator.h"
-
 namespace adaptagg {
 namespace {
 
@@ -12,91 +9,60 @@ SchedulerConfig SmallConfig() {
   SchedulerConfig c;
   c.max_inflight = 2;
   c.queue_capacity = 2;
-  c.memory_budget_bytes = 1'000;
   return c;
 }
 
-TEST(Scheduler, AdmitsWhenSlotAndBudgetFree) {
+TEST(Scheduler, AdmitsWhenSlotFree) {
   Scheduler s(SmallConfig());
-  EXPECT_EQ(s.Offer(/*bytes=*/400, /*queued_now=*/0),
-            Scheduler::Decision::kAdmit);
-  s.Admit(400);
+  EXPECT_EQ(s.Offer(/*queued_now=*/0), Scheduler::Decision::kAdmit);
+  s.Admit();
   EXPECT_EQ(s.inflight(), 1);
-  EXPECT_EQ(s.inflight_bytes(), 400);
-  EXPECT_EQ(s.Offer(400, 0), Scheduler::Decision::kAdmit);
+  EXPECT_EQ(s.Offer(0), Scheduler::Decision::kAdmit);
 }
 
 TEST(Scheduler, QueuesWhenSlotsFull) {
   Scheduler s(SmallConfig());
-  s.Admit(100);
-  s.Admit(100);
-  EXPECT_EQ(s.Offer(100, 0), Scheduler::Decision::kQueue);
-}
-
-TEST(Scheduler, QueuesWhenMemoryDoesNotFitNow) {
-  Scheduler s(SmallConfig());
-  s.Admit(900);
-  // 200 more would exceed the 1000-byte budget right now, but fits the
-  // budget overall — it must wait, not be rejected.
-  EXPECT_EQ(s.Offer(200, 0), Scheduler::Decision::kQueue);
-  s.Release(900);
-  EXPECT_EQ(s.Offer(200, 0), Scheduler::Decision::kAdmit);
+  s.Admit();
+  s.Admit();
+  EXPECT_EQ(s.Offer(0), Scheduler::Decision::kQueue);
 }
 
 TEST(Scheduler, FifoFairnessNeverJumpsTheQueue) {
   Scheduler s(SmallConfig());
   // A free slot with submissions already waiting means the newcomer
   // queues behind them instead of overtaking.
-  EXPECT_EQ(s.Offer(100, /*queued_now=*/1), Scheduler::Decision::kQueue);
+  EXPECT_EQ(s.Offer(/*queued_now=*/1), Scheduler::Decision::kQueue);
 }
 
 TEST(Scheduler, RejectsWhenQueueFull) {
   Scheduler s(SmallConfig());
-  s.Admit(100);
-  s.Admit(100);
-  EXPECT_EQ(s.Offer(100, /*queued_now=*/2),
+  s.Admit();
+  s.Admit();
+  EXPECT_EQ(s.Offer(/*queued_now=*/2),
             Scheduler::Decision::kRejectQueueFull);
 }
 
-TEST(Scheduler, RejectsOversizedQueryOutright) {
+TEST(Scheduler, CanStartChecksSlots) {
   Scheduler s(SmallConfig());
-  // Larger than the whole budget: could never run, so rejecting beats
-  // queueing it forever — even with the queue empty and slots free.
-  EXPECT_EQ(s.Offer(1'001, 0), Scheduler::Decision::kRejectMemory);
-}
-
-TEST(Scheduler, UnlimitedMemoryWhenBudgetNonPositive) {
-  SchedulerConfig c = SmallConfig();
-  c.memory_budget_bytes = -1;
-  Scheduler s(c);
-  EXPECT_EQ(s.Offer(int64_t{1} << 40, 0), Scheduler::Decision::kAdmit);
-  s.Admit(int64_t{1} << 40);
-  EXPECT_TRUE(s.CanStart(int64_t{1} << 40));
-}
-
-TEST(Scheduler, CanStartChecksSlotsAndMemory) {
-  Scheduler s(SmallConfig());
-  EXPECT_TRUE(s.CanStart(1'000));
-  s.Admit(600);
-  EXPECT_TRUE(s.CanStart(400));
-  EXPECT_FALSE(s.CanStart(401));
-  s.Admit(100);
-  EXPECT_FALSE(s.CanStart(1));  // both slots taken
-  s.Release(100);
-  EXPECT_TRUE(s.CanStart(400));
+  EXPECT_TRUE(s.CanStart());
+  s.Admit();
+  EXPECT_TRUE(s.CanStart());
+  s.Admit();
+  EXPECT_FALSE(s.CanStart());  // both slots taken
+  s.Release();
+  EXPECT_TRUE(s.CanStart());
 }
 
 TEST(Scheduler, ReleaseRestoresCapacityAndTracksHighWater) {
   Scheduler s(SmallConfig());
-  s.Admit(300);
-  s.Admit(300);
+  s.Admit();
+  s.Admit();
   EXPECT_EQ(s.inflight_high_water(), 2);
-  s.Release(300);
-  s.Release(300);
+  s.Release();
+  s.Release();
   EXPECT_EQ(s.inflight(), 0);
-  EXPECT_EQ(s.inflight_bytes(), 0);
   EXPECT_EQ(s.inflight_high_water(), 2);
-  EXPECT_EQ(s.Offer(100, 0), Scheduler::Decision::kAdmit);
+  EXPECT_EQ(s.Offer(0), Scheduler::Decision::kAdmit);
 }
 
 TEST(Scheduler, DecisionNamesAreStable) {
@@ -107,30 +73,6 @@ TEST(Scheduler, DecisionNamesAreStable) {
   EXPECT_EQ(
       SchedulerDecisionToString(Scheduler::Decision::kRejectQueueFull),
       "reject-queue-full");
-  EXPECT_EQ(SchedulerDecisionToString(Scheduler::Decision::kRejectMemory),
-            "reject-memory");
-}
-
-TEST(EstimateQueryMemory, ScalesWithNodesAndHashBound) {
-  Schema schema = MakeBenchSchema(100);
-  ASSERT_OK_AND_ASSIGN(AggregationSpec spec, MakeBenchQuery(&schema));
-  SystemParams params;
-  params.num_nodes = 4;
-  params.max_hash_entries = 1'000;
-  AlgorithmOptions options;
-
-  const int64_t base = EstimateQueryMemoryBytes(spec, options, params);
-  EXPECT_GT(base, 0);
-
-  // Twice the nodes → twice the cluster-wide reservation.
-  SystemParams wide = params;
-  wide.num_nodes = 8;
-  EXPECT_EQ(EstimateQueryMemoryBytes(spec, options, wide), 2 * base);
-
-  // A per-query M override beats the system default.
-  AlgorithmOptions small = options;
-  small.max_hash_entries = 500;
-  EXPECT_EQ(EstimateQueryMemoryBytes(spec, small, params), base / 2);
 }
 
 }  // namespace

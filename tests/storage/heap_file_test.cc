@@ -72,25 +72,14 @@ TEST_F(HeapFileTest, FlushIdempotent) {
   EXPECT_EQ(hf.num_pages(), pages);
 }
 
-TEST_F(HeapFileTest, SeekToPageForSampling) {
-  HeapFile hf = MakeFile();
-  Fill(hf, 100);
-  HeapFileScanner scanner(&hf);
-  ASSERT_TRUE(scanner.SeekToPage(2).ok());
-  TupleView t = scanner.Next();
-  ASSERT_TRUE(t.valid());
-  EXPECT_EQ(t.GetInt64(0), 2 * 31);  // first tuple of page 2
-  EXPECT_FALSE(scanner.SeekToPage(999).ok());
-  EXPECT_FALSE(scanner.SeekToPage(-1).ok());
-}
-
 TEST_F(HeapFileTest, ScannerCountsPages) {
   HeapFile hf = MakeFile();
   Fill(hf, 100);
+  const int64_t before = disk_.stats().pages_read_seq;
   HeapFileScanner scanner(&hf);
   while (scanner.Next().valid()) {
   }
-  EXPECT_EQ(scanner.pages_read(), hf.num_pages());
+  EXPECT_EQ(disk_.stats().pages_read_seq - before, hf.num_pages());
 }
 
 TEST_F(HeapFileTest, InjectedReadFaultEndsTheScan) {
@@ -107,7 +96,7 @@ TEST_F(HeapFileTest, InjectedReadFaultEndsTheScan) {
   int64_t rows = 0;
   while (int n = scanner.NextRun(ptrs, 64)) rows += n;
   EXPECT_EQ(rows, 2 * 31);
-  EXPECT_EQ(scanner.pages_read(), 2);
+  EXPECT_EQ(disk.stats().pages_read_seq, 2);
   EXPECT_EQ(scanner.status().code(), StatusCode::kIOError);
   EXPECT_EQ(scanner.status().message(), "injected read fault");
   EXPECT_EQ(scanner.NextRun(ptrs, 64), 0);  // the error is sticky

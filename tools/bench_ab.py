@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Paired A/B of two source trees on one aggbench workload.
+"""Paired A/B of two source trees on aggbench workloads.
 
 Builds each tree's benchmark in its own build directory (passed to
 `aggbench/run.py` as $CARGO_TARGET_DIR), then runs `aggbench/run.py` in
 ABBA order -- pair i runs A first when i is even and B first when i is
-odd -- so a host that drifts over minutes biases neither side. For every
-metric the run prints (the end-to-end set, or the per-layer set with
---trace 1) it reports each side's median and quartiles, the change of the
-medians, and how many pairs B won in the metric's better direction.
+odd -- so a host that drifts over minutes biases neither side. Without
+--workload, every pair runs each workload BENCHMARK.json declares, one
+after the other, both sides of a workload back to back. For every
+workload and every metric the run prints (the end-to-end set, or the
+per-layer set with --trace 1) it reports each side's median and
+quartiles, the change of the medians, and how many pairs B won in the
+metric's better direction.
 
     git archive HEAD~1 | tar -x -C /tmp/parent
     python3 tools/bench_ab.py --a /tmp/parent --b . \\
@@ -19,7 +22,7 @@ pairs in ten, the medians differ by more than A's interquartile range,
 and B fails no larger share of operations, and has no more wrong-answer
 or failed runs, than A. A run that exits non-zero is recorded as failed
 and the pairs go on; a pair with a failed side counts as a loss for B.
---json writes every run's result for the record.
+--json writes every run's result for the record, keyed by workload.
 """
 
 import argparse
@@ -35,12 +38,13 @@ def log(msg):
     print(f"bench_ab: {msg}", file=sys.stderr, flush=True)
 
 
-def run_once(tree, build_dir, args, seconds):
-    """Runs aggbench/run.py in `tree`; returns its parsed JSON result, or
-    None when the run exits non-zero or prints no result."""
+def run_once(tree, build_dir, workload, args, seconds):
+    """Runs aggbench/run.py on `workload` in `tree`; returns its parsed
+    JSON result, or None when the run exits non-zero or prints no
+    result."""
     env = dict(os.environ, CARGO_TARGET_DIR=build_dir)
     cmd = [sys.executable, os.path.join("aggbench", "run.py"),
-           "--workload", args.workload, "--seed", str(args.seed),
+           "--workload", workload, "--seed", str(args.seed),
            "--seconds", str(seconds), "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
                           text=True)
@@ -55,11 +59,14 @@ def run_once(tree, build_dir, args, seconds):
     return None
 
 
-def metric_directions(tree, trace):
-    """Maps each metric BENCHMARK.json names for this kind of run to
-    True when higher is better."""
+def load_manifest(tree):
     with open(os.path.join(tree, "BENCHMARK.json")) as f:
-        bench = json.load(f)
+        return json.load(f)
+
+
+def metric_directions(bench, trace):
+    """Maps each metric the manifest names for this kind of run to True
+    when higher is better."""
     return {m["name"]: m["better"] == "higher"
             for m in bench["per_layer" if trace else "end_to_end"]}
 
@@ -145,7 +152,9 @@ def main():
     parser.add_argument("--a", required=True,
                         help="baseline source tree (e.g. the parent)")
     parser.add_argument("--b", required=True, help="changed source tree")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload",
+                        help="one workload (default: every workload "
+                             "BENCHMARK.json declares)")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20)
@@ -168,47 +177,58 @@ def main():
             log("the build root must lie outside aggbench/")
             return 2
 
+    bench = load_manifest(trees["B"])
+    workloads = ([args.workload] if args.workload else
+                 [w["name"] for w in bench["workloads"]])
+
     # Build each side (run.py builds on first use) with a short warm-up
     # run whose result is discarded.
     for side in ("A", "B"):
         log(f"building {side} ({trees[side]}) in {builds[side]}")
-        if run_once(trees[side], builds[side], args, seconds=1) is None:
+        if run_once(trees[side], builds[side], workloads[0], args,
+                    seconds=1) is None:
             log(f"side {side} does not build or run; no pairs run")
             return 2
 
-    directions = metric_directions(trees["B"], args.trace)
-    runs = {"A": [], "B": []}
+    directions = metric_directions(bench, args.trace)
+    runs = {w: {"A": [], "B": []} for w in workloads}
     start = time.time()
     for i in range(args.pairs):
         order = ("A", "B") if i % 2 == 0 else ("B", "A")
-        for side in order:
-            result = run_once(trees[side], builds[side], args,
-                              args.seconds)
-            if result is None:
-                log(f"pair {i} side {side}: run failed")
-            elif not result.get("correct", False):
-                log(f"pair {i} side {side}: run reported wrong answers")
-            runs[side].append(result)
+        for w in workloads:
+            for side in order:
+                result = run_once(trees[side], builds[side], w, args,
+                                  args.seconds)
+                if result is None:
+                    log(f"pair {i} {w} side {side}: run failed")
+                elif not result.get("correct", False):
+                    log(f"pair {i} {w} side {side}: run reported wrong "
+                        "answers")
+                runs[w][side].append(result)
         log(f"pair {i + 1}/{args.pairs} done "
             f"({time.time() - start:.0f} s)")
 
-    print(f"workload={args.workload} seed={args.seed} pairs={args.pairs} "
-          f"seconds={args.seconds:g} trace={args.trace} order=ABBA")
-    fails = {side: failures(runs[side]) for side in runs}
-    rows = report(runs, directions, args.pairs,
-                  no_worse(fails["A"], fails["B"]))
-    for side in ("A", "B"):
-        f = fails[side]
-        print(f"{side}: failed ops {f['failed']}/{f['attempted']} "
-              f"({f['failed_share']:.3%}); runs with wrong answers "
-              f"{f['wrong_runs']}; failed runs {f['failed_runs']}")
+    out = {}
+    for w in workloads:
+        print(f"workload={w} seed={args.seed} pairs={args.pairs} "
+              f"seconds={args.seconds:g} trace={args.trace} order=ABBA")
+        fails = {side: failures(runs[w][side]) for side in ("A", "B")}
+        rows = report(runs[w], directions, args.pairs,
+                      no_worse(fails["A"], fails["B"]))
+        a, b = fails["A"], fails["B"]
+        print(f"{w} failures: failed ops A {a['failed']}/{a['attempted']} "
+              f"({a['failed_share']:.3%}) B {b['failed']}/{b['attempted']} "
+              f"({b['failed_share']:.3%}); runs with wrong answers "
+              f"A {a['wrong_runs']} B {b['wrong_runs']}; failed runs "
+              f"A {a['failed_runs']} B {b['failed_runs']}\n")
+        out[w] = {"runs": runs[w], "failures": fails, "rows": rows}
     if args.json:
         with open(args.json, "w") as f:
-            json.dump({"workload": args.workload, "seed": args.seed,
-                       "pairs": args.pairs, "seconds": args.seconds,
-                       "trace": args.trace, "trees": trees, "runs": runs,
-                       "failures": fails, "rows": rows}, f, indent=1)
-    bad = any(f["wrong_runs"] or f["failed_runs"] for f in fails.values())
+            json.dump({"seed": args.seed, "pairs": args.pairs,
+                       "seconds": args.seconds, "trace": args.trace,
+                       "trees": trees, "workloads": out}, f, indent=1)
+    bad = any(f["wrong_runs"] or f["failed_runs"]
+              for o in out.values() for f in o["failures"].values())
     return 1 if bad else 0
 
 
